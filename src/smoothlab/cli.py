@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve_lp = subs.add_parser("solve-lp", help="solve an LP fixture file")
     solve_lp.add_argument("file")
-    solve_lp.add_argument("--seed", type=int, default=0)
 
     run_p = subs.add_parser("run-perceptron", help="run on an instance fixture file")
     run_p.add_argument("file")

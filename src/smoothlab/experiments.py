@@ -15,12 +15,11 @@ import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
-from .numkit import inverse_norm
+from .numkit import inverse_norm, inverse_norms
 from .perceptron import (
     PerceptronInstance,
     blum_dunagan_tail,
@@ -41,6 +40,7 @@ from .perturb import (
 )
 from .polytope import (
     LinearProgram,
+    basis_chunks,
     brute_force_optimum,
     parse_lp,
     shadow_polygon,
@@ -104,7 +104,6 @@ def config_from_echo(d: dict) -> ExperimentConfig:
     d = dict(d)
     d["sigma_grid"] = tuple(d.get("sigma_grid", ()))
     d["thresholds"] = tuple(d.get("thresholds", ()))
-    d.pop("jobs", None)
     return ExperimentConfig(**d)
 
 
@@ -118,8 +117,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     tail_kinds = ("matrix_tail", "rademacher_tail", "perceptron_tail")
     if cfg.kind in tail_kinds and not cfg.thresholds:
         raise ConfigError(f"{cfg.kind} requires at least one threshold")
-    if any(t <= 0 for t in cfg.thresholds):
-        raise ConfigError("thresholds must be positive")
+    if not all(0 < t < math.inf for t in cfg.thresholds):
+        raise ConfigError("thresholds must be finite and positive")
     sigma_kinds = ("matrix_tail", "shadow_size", "simplex_pivots",
                    "perceptron_tail", "submatrix_lemma", "smoothed_profile")
     if cfg.kind in sigma_kinds:
@@ -278,12 +277,9 @@ def _trial_submatrix(args):
         warnings.simplefilter("ignore", RegimeWarning)
         pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
     tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
-    total = 0
-    for idx in combinations(range(cfg.n), cfg.d):
-        sub = pts[list(idx)].T   # columns a_i, i in I
-        if inverse_norm(sub) >= tau:
-            total += 1
-    return int(total)
+    # submatrices with columns a_i, i in I, for every d-subset I
+    return sum(int(np.count_nonzero(inverse_norms(pts[idx].transpose(0, 2, 1)) >= tau))
+               for idx in basis_chunks(cfg.n, cfg.d))
 
 
 def _trial_profile(args):

@@ -22,9 +22,9 @@ from .errors import InvalidInputError
 SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 
 
-def _is_singular(s: np.ndarray) -> bool:
-    smax, smin = float(s[0]), float(s[-1])
-    return smin <= smax * len(s) * SINGULAR_RTOL or smin < 1e-300
+def _is_singular(s: np.ndarray):  # one spectrum, or a stack of spectra
+    smax, smin = s[..., 0], s[..., -1]
+    return (smin <= smax * s.shape[-1] * SINGULAR_RTOL) | (smin < 1e-300)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -64,6 +64,17 @@ def inverse_norm(m) -> float:
     if _is_singular(s):
         return math.inf
     return 1.0 / float(s[-1])
+
+
+def inverse_norms(stack) -> np.ndarray:
+    """inverse_norm of each matrix of a (k, d, d) stack, by one batched SVD."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0 or not np.all(np.isfinite(a)):
+        raise InvalidInputError("inverse_norms requires a finite (k, d, d) stack, d >= 1")
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        return np.where(_is_singular(s), math.inf, 1.0 / s[:, -1])
+
 
 def condition_number(m) -> float:
     """kappa(M) = ||M|| * ||M^-1||; +inf for a singular matrix."""

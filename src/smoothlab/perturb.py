@@ -35,10 +35,10 @@ class SeedSpec:
         if self.stream_index < 0:
             raise InvalidInputError("stream_index must be nonnegative")
 
-    def rng(self, substream: int = 0) -> np.random.Generator:
-        """Generator for this stream; substream splits one trial's draws."""
-        key = (self.stream_index,) if substream == 0 else (self.stream_index, substream)
-        return np.random.default_rng(np.random.SeedSequence(self.master_seed, spawn_key=key))
+    def rng(self) -> np.random.Generator:
+        """Generator for this stream."""
+        return np.random.default_rng(
+            np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,)))
 
 
 def _check_sigma(sigma: float) -> float:

@@ -2,7 +2,9 @@
 
 The polytope here is always the inequality form {x : x^T a_i <= b_i}. Vertex
 enumeration over all d-subsets of constraints is the correctness oracle for
-the pivoting code, so it stays deliberately simple and exact at desk scale.
+the pivoting code, so it stays exhaustive and exact at desk scale. It scans the
+d-subsets in canonical order in batched chunks (feasible_bases), and the tests
+cross-check that scan against a one-basis-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -27,6 +29,7 @@ MAX_BASES = 1_000_000
 FEAS_TOL = 1e-9          # absolute slack tolerance for feasibility/tightness
 COLLINEAR_TOL = 1e-9     # hull collinearity tolerance
 COINCIDENT_TOL = 1e-7    # two basic solutions this close are flagged degenerate
+BASIS_CHUNK = 256        # bases per batched solve; bounds the work past an early exit
 
 
 class DegeneracyWarning(UserWarning):
@@ -115,6 +118,29 @@ def _check_budget(n: int, d: int, limit: int = MAX_BASES) -> None:
         raise SizeLimitError(f"C({n},{d}) = {math.comb(n, d)} exceeds the budget {limit}")
 
 
+def basis_chunks(n: int, d: int):
+    """d-subsets of range(n) in combinations order, as (k, d) arrays, k <= BASIS_CHUNK."""
+    _check_budget(n, d)
+    subsets = combinations(range(n), d)
+    while chunk := list(islice(subsets, BASIS_CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def feasible_bases(lp: LinearProgram):
+    """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
+
+    Per chunk: one batched SVD rejects singular bases, one batched solve
+    gives the basic solutions, one mask keeps those with A x - b <= FEAS_TOL.
+    """
+    for idx in basis_chunks(lp.n, lp.d):
+        s = np.linalg.svd(lp.A[idx], compute_uv=False)
+        idx = idx[~(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0]))]
+        x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
+        # stacked matvec: the same rounding as lp.A @ x on each point
+        feasible = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
+        yield idx[feasible], x[feasible]
+
+
 def enumerate_vertices(lp: LinearProgram) -> list:
     """All feasible basic solutions, one per nonsingular tight set.
 
@@ -122,27 +148,15 @@ def enumerate_vertices(lp: LinearProgram) -> list:
     empty list. Near-coincident vertices from distinct bases are flagged with
     a DegeneracyWarning but all are returned.
     """
-    n, d = lp.n, lp.d
-    if n < d:
-        return []
-    _check_budget(n, d)
-    verts = []
-    for idx in combinations(range(n), d):
-        sub = lp.A[list(idx)]
-        # reject singular bases without raising
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[-1] < 1e-12 * max(1.0, s[0]):
-            continue
-        x = np.linalg.solve(sub, lp.b[list(idx)])
-        if np.all(lp.A @ x - lp.b <= FEAS_TOL):
-            verts.append(PolytopeVertex(point=x, tight_set=tuple(idx)))
+    verts = [PolytopeVertex(point=x, tight_set=tuple(idx.tolist()))
+             for tight, points in feasible_bases(lp) for idx, x in zip(tight, points)]
+    pts = np.array([v.point for v in verts])
     for i in range(1, len(verts)):
-        for j in range(i):
-            if np.linalg.norm(verts[i].point - verts[j].point) < COINCIDENT_TOL:
-                warnings.warn(
-                    f"coincident vertices for bases {verts[j].tight_set} and "
-                    f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
-                break
+        close = np.linalg.norm(pts[:i] - pts[i], axis=1) < COINCIDENT_TOL
+        if close.any():
+            warnings.warn(
+                f"coincident vertices for bases {verts[close.argmax()].tight_set} and "
+                f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
     return verts
 
 

@@ -11,23 +11,23 @@ polygon vertices on span(t, z).
 Phase I is deliberately not the randomized construction the theory analyzes:
 it is a brute-force scan for the first feasible basis in canonical order,
 with t = sum of that basis's constraint normals (which certifies optimality
-of the start vertex for t). Reported step counts are Phase II pivots only.
+of the start vertex for t), scanned in batched chunks by polytope.feasible_bases.
+The pivot walk does not use that scan, so it stays independent of the oracle.
+Reported step counts are Phase II pivots only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidStartError, PhaseOneError, SizeLimitError
+from .errors import InvalidStartError, PhaseOneError
 from .polytope import (
-    FEAS_TOL,
     LinearProgram,
     PolytopeVertex,
-    _check_budget,
+    feasible_bases,
     is_feasible,
     recession_directions,
 )
@@ -142,27 +142,18 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
     raise RuntimeError("pivot walk failed to terminate within the basis budget")
 
 
-def find_initial_vertex(lp: LinearProgram, seed=None):
+def find_initial_vertex(lp: LinearProgram):
     """First feasible basis in canonical order, plus a certifying objective.
 
     Returns (vertex, t) with t = sum of the tight-set normals (so the vertex
     is optimal for t with multipliers all 1), or None when the polytope is
     infeasible. A feasible polytope with no basic solution raises
-    PhaseOneError. The seed is accepted for interface symmetry; this Phase I
-    is deterministic.
+    PhaseOneError.
     """
-    n, d = lp.n, lp.d
-    _check_budget(n, d)
-    if n >= d:
-        for idx in combinations(range(n), d):
-            sub = lp.A[list(idx)]
-            s = np.linalg.svd(sub, compute_uv=False)
-            if s[-1] < 1e-12 * max(1.0, s[0]):
-                continue
-            x = np.linalg.solve(sub, lp.b[list(idx)])
-            if np.all(lp.A @ x - lp.b <= FEAS_TOL):
-                t = sub.sum(axis=0)
-                return PolytopeVertex(point=x, tight_set=tuple(idx)), t
+    for tight, points in feasible_bases(lp):
+        if len(tight):
+            return (PolytopeVertex(point=points[0], tight_set=tuple(tight[0].tolist())),
+                    lp.A[tight[0]].sum(axis=0))
     if is_feasible(lp):
         raise PhaseOneError("feasible polytope has no basic feasible solution")
     return None
@@ -183,10 +174,10 @@ class SolveResult:
         return None if v is None else v.objective_value(lp.z)
 
 
-def solve(lp: LinearProgram, seed=None) -> SolveResult:
+def solve(lp: LinearProgram) -> SolveResult:
     """Two-phase driver: canonical-scan Phase I, shadow pivot walk Phase II."""
     try:
-        found = find_initial_vertex(lp, seed)
+        found = find_initial_vertex(lp)
     except PhaseOneError:
         # feasible but no basic solution: still detect an improving ray
         dirs = recession_directions(lp.A)
@@ -197,8 +188,6 @@ def solve(lp: LinearProgram, seed=None) -> SolveResult:
                                           outcome="unbounded", ray=dirs[k]))
         return SolveResult("phase1_failed",
                            PivotTrace(visited=[], pivot_count=0, outcome="phase1_failed"))
-    except SizeLimitError:
-        raise
     if found is None:
         return SolveResult("infeasible",
                            PivotTrace(visited=[], pivot_count=0, outcome="phase1_failed"))

@@ -38,6 +38,14 @@ class TestTailMatrix:
     def test_bad_flag_is_config_error(self, tmp_path):
         assert run(["tail-matrix", "--nonsense"]) == 1
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_nonfinite_threshold_is_config_error(self, tmp_path, capsys, threshold):
+        out = tmp_path / "r.csv"
+        assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+                    threshold, "--trials", "10", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: thresholds must be finite and positive\n"
+
 
 class TestExitCodes:
     def test_out_of_regime_is_2(self, tmp_path):

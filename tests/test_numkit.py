@@ -1,16 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from smoothlab.errors import InvalidInputError
+from smoothlab.experiments import ExperimentConfig, _trial_submatrix, point_centers
 from smoothlab.numkit import (
     condition_number,
     distance_to_span,
     height,
     inverse_norm,
+    inverse_norms,
     operator_norm,
 )
+from smoothlab.perturb import SeedSpec, gaussian_points
 
 
 def power_iteration_norm(m, iters=2000):
@@ -57,6 +61,43 @@ class TestInverseNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInputError):
             inverse_norm(np.ones((2, 3)))
+
+
+class TestInverseNorms:
+    def test_sign_matrices_match_inverse_norm(self):
+        # all 512 3x3 +-1 matrices; the exactly singular ones must give inf
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=9))).reshape(-1, 3, 3)
+        got = inverse_norms(signs)
+        assert np.array_equal(got, [inverse_norm(m) for m in signs])
+        singular = np.round(np.linalg.det(signs)) == 0
+        assert singular.any() and not singular.all()
+        assert np.array_equal(np.isinf(got), singular)
+
+    def test_gaussian_stack_matches_inverse_norm(self):
+        rng = np.random.default_rng(21)
+        for d in (1, 2, 4):
+            stack = rng.standard_normal((300, d, d))
+            stack[::7, 0] = stack[::7, -1]   # repeated rows: singular unless d = 1
+            assert np.array_equal(inverse_norms(stack), [inverse_norm(m) for m in stack])
+
+    def test_rejects_bad_stacks(self):
+        for bad in (np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((2, 0, 0)),
+                    np.full((1, 2, 2), np.nan)):
+            with pytest.raises(InvalidInputError):
+                inverse_norms(bad)
+
+    @pytest.mark.parametrize("n,d,center", [(8, 3, "box"), (11, 4, "ones"), (6, 2, "zero")])
+    def test_trial_submatrix_matches_subset_loop(self, n, d, center):
+        sigma = 0.1
+        cfg = ExperimentConfig(kind="submatrix_lemma", n=n, d=d, sigma_grid=(sigma,),
+                               trials=1, master_seed=17, center_source=center)
+        centers = point_centers(cfg)
+        tau = sigma ** 2 / (8.0 * d ** 1.5 * n ** 7)
+        for stream in range(5):
+            pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
+            expected = sum(inverse_norm(pts[list(idx)].T) >= tau
+                           for idx in itertools.combinations(range(n), d))
+            assert _trial_submatrix((cfg, centers, sigma, stream)) == expected
 
 
 class TestConditionNumber:

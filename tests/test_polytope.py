@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,12 +9,17 @@ from smoothlab.errors import (
     DegeneratePlaneError,
     InvalidInputError,
     OutOfRegimeError,
+    PhaseOneError,
     SizeLimitError,
     UnboundedShadowError,
 )
 from smoothlab.polytope import (
+    BASIS_CHUNK,
+    COINCIDENT_TOL,
+    FEAS_TOL,
     DegeneracyWarning,
     LinearProgram,
+    PolytopeVertex,
     brute_force_optimum,
     convex_hull_2d,
     enumerate_vertices,
@@ -24,6 +31,7 @@ from smoothlab.polytope import (
     shadow_polygon,
     shadow_size_bound,
 )
+from smoothlab.simplex import find_initial_vertex
 
 BOX2 = LinearProgram(
     np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
@@ -95,6 +103,163 @@ class TestEnumeration:
         dirs = recession_directions(np.array([[1.0, 0.0]]))
         assert len(dirs) > 0
         assert np.all(dirs @ np.array([1.0, 0.0]) <= 1e-9)
+
+
+# --------------------------------------------------------------------------
+# one-basis-at-a-time reference for the batched basis scan
+
+def loop_bases(lp):
+    """Reference scan: (tight set, rows, point) of each feasible basis, one at a time."""
+    for idx in combinations(range(lp.n), lp.d):
+        sub = lp.A[list(idx)]
+        s = np.linalg.svd(sub, compute_uv=False)
+        if s[-1] < 1e-12 * max(1.0, s[0]):
+            continue
+        x = np.linalg.solve(sub, lp.b[list(idx)])
+        if np.all(lp.A @ x - lp.b <= FEAS_TOL):
+            yield idx, sub, x
+
+
+def loop_vertices(lp):
+    """Reference enumerate_vertices, with the pairwise coincidence check."""
+    verts = [PolytopeVertex(point=x, tight_set=idx) for idx, _, x in loop_bases(lp)]
+    for i in range(1, len(verts)):
+        for j in range(i):
+            if np.linalg.norm(verts[i].point - verts[j].point) < COINCIDENT_TOL:
+                warnings.warn(
+                    f"coincident vertices for bases {verts[j].tight_set} and "
+                    f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
+                break
+    return verts
+
+
+def loop_initial(lp):
+    """Reference Phase I scan: (vertex, t) of the first feasible basis, or None."""
+    for idx, sub, x in loop_bases(lp):
+        return PolytopeVertex(point=x, tight_set=idx), sub.sum(axis=0)
+    return None
+
+
+def _warned(fn, lp):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(lp)
+    assert all(w.category is DegeneracyWarning for w in caught)
+    return out, [str(w.message) for w in caught]
+
+
+def assert_scan_matches_loop(lp):
+    verts, messages = _warned(enumerate_vertices, lp)
+    ref, ref_messages = _warned(loop_vertices, lp)
+    assert [v.tight_set for v in verts] == [v.tight_set for v in ref]
+    assert all(type(i) is int for v in verts for i in v.tight_set)
+    assert all(np.array_equal(v.point, r.point) for v, r in zip(verts, ref))
+    assert messages == ref_messages
+    ref_start = loop_initial(lp)
+    if ref_start is None:
+        if is_feasible(lp):
+            with pytest.raises(PhaseOneError):
+                find_initial_vertex(lp)
+        else:
+            assert find_initial_vertex(lp) is None
+        return None
+    start, t = find_initial_vertex(lp)
+    assert start.tight_set == ref_start[0].tight_set
+    assert np.array_equal(start.point, ref_start[0].point)
+    assert np.array_equal(t, ref_start[1])
+    return start
+
+
+def perturbed_lp(rng, centers, sigma=0.1, b=None):
+    n, d = centers.shape
+    rows = centers + sigma * rng.standard_normal((n, d))
+    return LinearProgram(rows, np.ones(n) if b is None else b, rng.standard_normal(d))
+
+
+def box_centers(n, d, stretch=1.0):
+    rows = np.zeros((n, d))
+    for i in range(n):
+        rows[i, i % d] = (1.0 if (i // d) % 2 == 0 else -1.0) * stretch ** (i % d)
+    return rows
+
+
+def recession_lp(a):
+    """The LP _recession_box_vertices enumerates: {w : Aw <= 0, |w_i| <= 1}."""
+    n, d = a.shape
+    box = np.vstack([np.eye(d), -np.eye(d)])
+    return LinearProgram(np.vstack([a, box]),
+                         np.concatenate([np.zeros(n), np.ones(2 * d)]), np.zeros(d))
+
+
+def _instances(family, rng, k):
+    n, d = 6 + k % 7, 2 + k % 3
+    if family == "box":
+        return perturbed_lp(rng, box_centers(n, d))
+    if family == "stretched":
+        return perturbed_lp(rng, box_centers(n, d, 0.2))
+    if family == "gaussian":
+        # random right-hand sides: some of these systems are infeasible
+        b = np.ones(n) if k % 2 else rng.standard_normal(n)
+        return perturbed_lp(rng, rng.standard_normal((n, d)), sigma=1.0, b=b)
+    if family == "recession":
+        return recession_lp(rng.standard_normal((3 + k % 4, d)))
+    if family == "parallel":
+        # duplicated and scaled copies of rows: singular bases
+        lp = perturbed_lp(rng, box_centers(n, d))
+        extra = np.vstack([lp.A[: d], 2.0 * lp.A[d: d + 2]])
+        return LinearProgram(np.vstack([lp.A, extra]),
+                             np.concatenate([lp.b, lp.b[: d], 2.0 * lp.b[d: d + 2]]), lp.z)
+    if family == "n_below_d":
+        d = 3 + k % 3
+        return perturbed_lp(rng, rng.standard_normal((1 + k % (d - 1), d)))
+    if family == "infeasible":
+        # x_0 <= -1 and -x_0 <= -1 contradict each other
+        lp = perturbed_lp(rng, box_centers(n, d))
+        clash = np.zeros((2, d))
+        clash[:, 0] = [1.0, -1.0]
+        return LinearProgram(np.vstack([clash, lp.A]), np.concatenate([[-1.0, -1.0], lp.b]),
+                             lp.z)
+    raise AssertionError(family)
+
+
+FAMILIES = {"box": 50, "stretched": 30, "gaussian": 40, "recession": 30, "parallel": 30,
+            "n_below_d": 10, "infeasible": 10}
+
+
+class TestScanMatchesLoop:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family(self, family):
+        rng = np.random.default_rng(sorted(FAMILIES).index(family) + 70)
+        for k in range(FAMILIES[family]):
+            assert_scan_matches_loop(_instances(family, rng, k))
+
+    def test_recession_lp_flags_coincident_bases(self):
+        lp = recession_lp(np.random.default_rng(3).standard_normal((8, 3)))
+        assert math.comb(lp.n, lp.d) > BASIS_CHUNK
+        _, messages = _warned(enumerate_vertices, lp)
+        assert messages
+        assert_scan_matches_loop(lp)
+
+    def test_many_chunks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            lp = perturbed_lp(rng, box_centers(20, 4))
+            assert math.comb(lp.n, lp.d) > 10 * BASIS_CHUNK
+            assert assert_scan_matches_loop(lp) is not None
+
+    def test_first_feasible_basis_past_first_chunk(self):
+        # rows 0-2 say x_0 <= 10 + r: redundant against the box, so no basis
+        # containing one of them is feasible
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            lp = perturbed_lp(rng, box_centers(17, 3))
+            far = np.zeros((3, 3))
+            far[:, 0] = 1.0 / (10.0 + np.arange(3))
+            lp = LinearProgram(np.vstack([far, lp.A]), np.concatenate([np.ones(3), lp.b]),
+                               lp.z)
+            start = assert_scan_matches_loop(lp)
+            rank = list(combinations(range(lp.n), lp.d)).index(start.tight_set)
+            assert rank >= BASIS_CHUNK
 
 
 class TestBruteForceOptimum:
