@@ -8,15 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import (
-    ConfigError,
-    InvalidInputError,
-    OutOfRegimeError,
-    SizeLimitError,
-    SmoothlabError,
-)
+from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
 from .experiments import (
     ExperimentConfig,
     run_experiment,
@@ -166,6 +161,9 @@ def _experiment_config(command: str, args: argparse.Namespace) -> tuple:
         raise ConfigError("--per-trial requires --format json")
     if cfg.output_path is None:
         raise ConfigError("--out is required")
+    out_dir = os.path.dirname(os.path.abspath(cfg.output_path))
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory does not exist: {out_dir}")
     return cfg, fmt, per_trial, jobs
 
 
@@ -215,9 +213,6 @@ def cli_main(argv=None) -> int:
         report = run_experiment(cfg, jobs=jobs)
         write_report(report, cfg.output_path, fmt, per_trial=per_trial)
         return 0
-    except (ConfigError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
         return 2

@@ -154,6 +154,14 @@ def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
     return m
 
 
+def _read_center_file(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read center file: {exc}") from exc
+
+
 def point_centers(cfg: ExperimentConfig) -> np.ndarray:
     """n x d row centers for point-perturbation experiments.
 
@@ -177,10 +185,7 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
             scale = 5.0 ** (-k) if src == "stretched" else 1.0
             rows[i, k] = sign * scale
         return rows
-    try:
-        inst = parse_instance(open(src, encoding="utf-8").read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read center file: {exc}") from exc
+    inst = parse_instance(_read_center_file(src))
     if inst.points.shape != (n, d):
         raise ConfigError(
             f"center file has shape {inst.points.shape}, expected ({n}, {d})")
@@ -655,11 +660,10 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     """
     n, d = cfg.n, cfg.d
     if cfg.center_source not in ("zero", "ones", "box", "stretched"):
+        text = _read_center_file(cfg.center_source)
         if cfg.measure == "simplex_pivots":
-            lp = parse_lp(open(cfg.center_source, encoding="utf-8").read())
-            return [("file", lp.A)]
-        inst = parse_instance(open(cfg.center_source, encoding="utf-8").read())
-        return [("file", inst.points)]
+            return [("file", parse_lp(text).A)]
+        return [("file", parse_instance(text).points)]
     sets = []
     for src in ("box", "stretched", "ones"):
         c = ExperimentConfig(kind=cfg.kind, n=n, d=d, sigma_grid=(1.0,),
@@ -711,14 +715,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
 
 
 def replay_rows(report_dict: dict) -> list:
-    """Recompute report rows from the per-trial records of a saved report."""
-    cfg = config_from_echo(report_dict["config"])
-    per_trial = report_dict.get("per_trial")
-    if per_trial is None:
+    """Recompute report rows from the per-trial records of a saved report;
+    missing or ill-typed fields raise InvalidInputError."""
+    if report_dict.get("per_trial") is None:
         raise InvalidInputError("report has no per-trial records; rerun with --per-trial")
-    return AGGREGATORS[cfg.kind](cfg, per_trial)
+    try:
+        cfg = config_from_echo(report_dict["config"])
+        return AGGREGATORS[cfg.kind](cfg, report_dict["per_trial"])
+    except KeyError as exc:
+        raise InvalidInputError(f"malformed report: missing or unknown key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed report: {exc}") from exc
 
 
 def verify_replay(report_dict: dict) -> bool:
     """True when the saved rows match a recomputation from per-trial records."""
-    return replay_rows(report_dict) == report_dict["rows"]
+    return replay_rows(report_dict) == report_dict.get("rows")

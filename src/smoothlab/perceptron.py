@@ -148,25 +148,38 @@ def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
 
     rule selects which violated point to add: "lowest_index" (default) or
     "most_violated" (smallest normalized inner product).
+
+    A step is a pure function of the bytes of x, so an exact repeat of x
+    means a periodic walk that never solves: it is reported at the cap at
+    once. x is compared with the state saved at step 1, 2, 4, 8, ... (Brent),
+    which catches a cycle of period p entered at step m by step 2 max(m, p) + p.
     """
     if iteration_cap < 1:
         raise InvalidInputError("iteration_cap must be at least 1")
     if rule not in ("lowest_index", "most_violated"):
         raise InvalidInputError(f"unknown selection rule: {rule}")
     norm_pts = inst.normalized()
+    rows = list(norm_pts)
+    margins_of = inst.points.dot   # same bytes as inst.points @ x, less call overhead
+    zeros = np.zeros(inst.n)       # an array operand compares faster than a scalar
     x = np.zeros(inst.d)
+    saved, horizon = None, 1
     for it in range(iteration_cap + 1):
-        margins = inst.points @ x
-        violated = np.flatnonzero(margins <= 0.0)
-        if violated.size == 0:
+        violated = margins_of(x) <= zeros
+        pick = violated.argmax()
+        if not violated[pick]:
             return PerceptronRun(iterations=it, final_x=x, status="solved")
         if it == iteration_cap:
             break
-        if rule == "lowest_index":
-            pick = int(violated[0])
-        else:
-            pick = int(violated[np.argmin((norm_pts @ x)[violated])])
-        x = x + norm_pts[pick]
+        if rule == "most_violated":
+            candidates = np.flatnonzero(violated)
+            pick = candidates[np.argmin((norm_pts @ x)[candidates])]
+        x = x + rows[pick]
+        state = x.tobytes()
+        if state == saved:
+            break
+        if it + 1 == horizon:
+            saved, horizon = state, 2 * horizon
     return PerceptronRun(iterations=iteration_cap, final_x=None,
                          status="iteration_cap_reached")
 

@@ -9,9 +9,12 @@ which Python's json module reads back exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 
+from .errors import InvalidInputError
 from .experiments import Report
 
 
@@ -65,10 +68,25 @@ def write_report(report: Report, path: str, fmt: str, per_trial: bool = False) -
         text = to_json(report, per_trial=per_trial)
     else:
         raise ValueError(f"unknown format: {fmt}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # rename a finished file beside the target over it: no partial report
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_json_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """Read a JSON report; a file that is not a JSON object raises InvalidInputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise InvalidInputError(f"{path} is not a JSON report: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path} is not a JSON report: top level is not an object")
+    return doc

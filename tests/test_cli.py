@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import smoothlab.cli
+import smoothlab.reports
 from smoothlab.cli import cli_main
 
 CSV_HEADER = ("sigma,threshold,empirical,stderr,"
@@ -130,3 +132,59 @@ class TestVerifyReport:
              "--trials", "30", "--seed", "1", "--format", "json",
              "--out", str(out)])
         assert run(["verify-report", str(out)]) == 1
+
+    def test_not_json_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "r.json"
+        bad.write_text("tail-matrix,not,json\n")
+        assert run(["verify-report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not a JSON report: ") and err.count("\n") == 1
+
+    def test_block_without_values_is_one_line_error(self, tmp_path, capsys):
+        out = self.make_report(tmp_path)
+        doc = json.loads(out.read_text())
+        del doc["per_trial"][0]["values"]
+        out.write_text(json.dumps(doc))
+        assert run(["verify-report", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed report: missing or unknown key 'values'\n")
+
+
+class TestCenterFile:
+    @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
+    def test_profile_missing_center_file(self, tmp_path, capsys, measure):
+        assert run(["smoothed-profile", "--n", "6", "--d", "2", "--sigma", "0.1",
+                    "--measure", measure, "--center", str(tmp_path / "nope.txt"),
+                    "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read center file: ") and err.count("\n") == 1
+
+
+class TestOutput:
+    ARGS = ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+            "--trials", "10"]
+
+    def test_missing_directory_fails_before_trials(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr(smoothlab.cli, "run_experiment", no_trials)
+        missing = tmp_path / "missing"
+        assert run(self.ARGS + ["--out", str(missing / "r.csv")]) == 1
+        assert capsys.readouterr().err == f"error: output directory does not exist: {missing}\n"
+        assert not missing.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        assert run(self.ARGS + ["--out", str(out)]) == 0
+        before = out.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(smoothlab.reports.os, "replace", fail)
+        assert run(self.ARGS + ["--seed", "5", "--out", str(out)]) == 1
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_out_is_a_directory(self, tmp_path):
+        assert run(self.ARGS + ["--out", str(tmp_path)]) == 1
+        assert list(tmp_path.iterdir()) == []

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smoothlab.errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
+from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
 from smoothlab.perceptron import (
     PerceptronInstance,
+    PerceptronRun,
     blum_dunagan_tail,
     iteration_bound,
     parse_instance,
@@ -13,6 +18,9 @@ from smoothlab.perceptron import (
     wiggle_room,
     wiggle_room_grid,
 )
+from smoothlab.perturb import SeedSpec, gaussian_points, smoothed_input
+
+RULES = ("lowest_index", "most_violated")
 
 
 def random_feasible_2d(rng, n, gap=0.15):
@@ -112,6 +120,156 @@ class TestRunPerceptron:
             run_perceptron(inst, iteration_cap=0)
         with pytest.raises(InvalidInputError):
             run_perceptron(inst, iteration_cap=5, rule="random")
+
+
+def _reference_run(inst, iteration_cap, rule="lowest_index"):
+    """The update loop as first written: one matmul and one flatnonzero per
+    step, no cycle check. run_perceptron must match it byte for byte."""
+    norm_pts = inst.normalized()
+    x = np.zeros(inst.d)
+    for it in range(iteration_cap + 1):
+        margins = inst.points @ x
+        violated = np.flatnonzero(margins <= 0.0)
+        if violated.size == 0:
+            return PerceptronRun(iterations=it, final_x=x, status="solved")
+        if it == iteration_cap:
+            break
+        if rule == "lowest_index":
+            pick = int(violated[0])
+        else:
+            pick = int(violated[np.argmin((norm_pts @ x)[violated])])
+        x = x + norm_pts[pick]
+    return PerceptronRun(iterations=iteration_cap, final_x=None,
+                         status="iteration_cap_reached")
+
+
+def assert_same_run(inst, cap, rule):
+    got = run_perceptron(inst, iteration_cap=cap, rule=rule)
+    want = _reference_run(inst, cap, rule)
+    assert (got.iterations, got.status) == (want.iterations, want.status)
+    if want.final_x is None:
+        assert got.final_x is None
+    else:
+        assert got.final_x.tobytes() == want.final_x.tobytes()
+    return want
+
+
+def assert_same_around_solve(inst, cap, rule):
+    """Equal at cap, and at caps one below, at and one above the solve step."""
+    want = assert_same_run(inst, cap, rule)
+    if want.status == "solved":
+        for near in {want.iterations - 1, want.iterations, want.iterations + 1} - {0}:
+            assert_same_run(inst, near, rule)
+
+
+def visited_states(inst, steps):
+    """x.tobytes() after 0..steps lowest-index updates (reference arithmetic)."""
+    norm_pts = inst.normalized()
+    x, states = np.zeros(inst.d), []
+    for _ in range(steps + 1):
+        states.append(x.tobytes())
+        x = x + norm_pts[int(np.flatnonzero(inst.points @ x <= 0.0)[0])]
+    return states
+
+
+class TestLoopMatchesReference:
+    def test_random_feasible_2d(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            inst = random_feasible_2d(rng, int(rng.integers(1, 12)),
+                                      gap=float(rng.uniform(0.05, 0.3)))
+            for rule in RULES:
+                assert_same_around_solve(inst, 10_000, rule)
+
+    def test_gaussian(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 61)), int(rng.integers(1, 9))
+            pts = rng.standard_normal((n, d))
+            if rng.random() < 0.5:   # make half of them feasible along e_1
+                pts[:, 0] = np.abs(pts[:, 0]) + 0.05
+            inst = PerceptronInstance(pts)
+            for rule in RULES:
+                assert_same_around_solve(inst, int(rng.integers(1, 500)), rule)
+
+    def test_profile_instances_sigma_01(self):
+        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.1,),
+                               measure="perceptron_iterations")
+        for center_id, center in profile_center_set(cfg)[:2]:
+            assert center_id in ("box", "stretched")
+            for stream in range(6):
+                pts = smoothed_input(center.ravel(), 0.1, SeedSpec(1, stream))
+                inst = PerceptronInstance(pts.reshape(center.shape))
+                for rule in RULES:
+                    assert_same_run(inst, 3000, rule)
+
+    @pytest.mark.filterwarnings("ignore::smoothlab.perturb.RegimeWarning")
+    def test_tail_perceptron_ones_at_iteration_bound(self):
+        cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
+                               center_source="ones")
+        centers = point_centers(cfg)
+        checked = 0
+        for stream in range(30):
+            inst = PerceptronInstance(gaussian_points(centers, 0.2, SeedSpec(1, stream)))
+            nu = wiggle_room(inst)
+            if nu <= 0.0:
+                continue
+            checked += 1
+            for rule in RULES:
+                assert_same_around_solve(inst, iteration_bound(nu), rule)
+        assert checked >= 20
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pts=st.tuples(st.integers(1, 8), st.integers(1, 4)).flatmap(
+               lambda shape: arrays(np.float64, shape, elements=st.floats(-4.0, 4.0))),
+           cap=st.integers(1, 300), rule=st.sampled_from(RULES))
+    def test_property_small_instances(self, pts, cap, rule):
+        if np.any(np.linalg.norm(pts, axis=1) == 0.0):
+            return
+        assert_same_around_solve(PerceptronInstance(pts), cap, rule)
+
+
+class TestCycleDetection:
+    def test_opposite_pair_ends_at_cap(self):
+        inst = PerceptronInstance([[1.0, 0.0], [-1.0, 0.0]])
+        for rule in RULES:
+            run = run_perceptron(inst, iteration_cap=10 ** 6, rule=rule)
+            assert run == PerceptronRun(10 ** 6, None, "iteration_cap_reached")
+
+    def test_profile_box_center_sigma0(self):
+        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.0,),
+                               measure="perceptron_iterations")
+        center_id, center = profile_center_set(cfg)[0]
+        assert center_id == "box"
+        inst = PerceptronInstance(center)
+        for rule in RULES:
+            assert _reference_run(inst, 1000, rule).status == "iteration_cap_reached"
+            run = run_perceptron(inst, iteration_cap=10 ** 7, rule=rule)
+            assert run == PerceptronRun(10 ** 7, None, "iteration_cap_reached")
+
+    def test_cycle_after_long_pre_period(self):
+        inst = PerceptronInstance([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, -1.0]])
+        states = visited_states(inst, 39)
+        assert states.index(states[14]) == 12 and states[12] != states[13]
+        assert states[12:] == states[12:14] * 14   # pre-period 12, period 2
+        for cap in range(1, 41):
+            assert_same_run(inst, cap, "lowest_index")
+        run = run_perceptron(inst, iteration_cap=10 ** 6)
+        assert run == PerceptronRun(10 ** 6, None, "iteration_cap_reached")
+
+    def test_late_solve_is_not_cut_short(self):
+        # a thin slab: the first two coordinates of x wander for thousands of
+        # steps while the third grows, so no state repeats before the solve
+        inst = PerceptronInstance([
+            [-0.6261, -1.2777, 0.0136], [-0.1541, 0.9659, 0.0011],
+            [-0.6944, -0.3267, 0.0066], [0.008, -0.3753, 0.004],
+            [-1.3786, -0.8068, 0.0175], [-0.6712, -1.0541, 0.0044],
+            [1.4073, -1.454, 0.0031], [-0.6321, -1.761, 0.0083]])
+        for rule, steps in (("lowest_index", 10891), ("most_violated", 1321)):
+            want = assert_same_run(inst, 10 ** 5, rule)
+            assert want == PerceptronRun(steps, want.final_x, "solved")
+            assert_same_run(inst, steps, rule)
+            assert_same_run(inst, steps - 1, rule)
 
 
 class TestBounds:
