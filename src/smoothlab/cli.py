@@ -14,6 +14,7 @@ import sys
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
 from .experiments import (
     ExperimentConfig,
+    read_text_file,
     run_experiment,
     verify_replay,
 )
@@ -95,18 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"malformed config line: {line!r}")
-                key, _, raw = line.partition("=")
-                values[key.strip().replace("-", "_")] = raw.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+    for line in read_text_file(path, "config file").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"malformed config line: {line!r}")
+        key, _, raw = line.partition("=")
+        values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 
@@ -116,10 +113,13 @@ _BOOL_KEYS = {"per_trial", "exhaustive"}
 
 
 def _coerce(key: str, raw: str):
-    if key in _LIST_KEYS:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    if key in _INT_KEYS:
-        return int(raw)
+    try:
+        if key in _LIST_KEYS:
+            return [float(tok) for tok in raw.replace(",", " ").split()]
+        if key in _INT_KEYS:
+            return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
     if key in _BOOL_KEYS:
         return raw.lower() in ("1", "true", "yes", "on")
     return raw
@@ -168,7 +168,7 @@ def _experiment_config(command: str, args: argparse.Namespace) -> tuple:
 
 
 def _run_solve_lp(args) -> int:
-    lp = parse_lp(open(args.file, encoding="utf-8").read())
+    lp = parse_lp(read_text_file(args.file, "LP file"))
     result = solve(lp)
     doc = result.trace.to_json_dict()
     doc["status"] = result.status
@@ -181,7 +181,7 @@ def _run_solve_lp(args) -> int:
 
 
 def _run_perceptron_file(args) -> int:
-    inst = parse_instance(open(args.file, encoding="utf-8").read())
+    inst = parse_instance(read_text_file(args.file, "instance file"))
     nu = wiggle_room(inst)
     run = run_perceptron(inst, iteration_cap=args.cap, rule=args.rule)
     doc = {

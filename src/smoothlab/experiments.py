@@ -1,11 +1,12 @@
 """Monte Carlo experiment harness.
 
-Each experiment kind follows the same shape: a validated ExperimentConfig,
-one independent seed stream per trial (so parallel and serial runs agree
-bit for bit), a list of JSON-friendly per-trial records, and a pure
-aggregation step turning those records into report rows. The aggregation
-functions double as the replay verifier: re-running them on the per-trial
-records stored in a report must reproduce the report rows exactly.
+Each experiment kind is a row of the KINDS table, run by run_experiment: a
+validated ExperimentConfig, pre-flight gates, one independent seed stream
+per trial (so parallel and serial runs agree bit for bit), block workers
+that turn contiguous stream ranges into JSON-friendly per-trial records,
+and a pure aggregation step turning those records into report rows. The
+aggregation functions double as the replay verifier: re-running them on the
+per-trial records stored in a report must reproduce the report rows exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
-from .numkit import inverse_norm, inverse_norms
+from .numkit import inverse_norms
 from .perceptron import (
     PerceptronInstance,
     blum_dunagan_tail,
@@ -31,9 +33,7 @@ from .perceptron import (
 from .perturb import (
     RegimeWarning,
     SeedSpec,
-    gaussian_matrix,
     gaussian_points,
-    rademacher_matrix,
     regime_notes,
     smoothed_input,
     variance_regime_limit,
@@ -49,16 +49,7 @@ from .polytope import (
 from .errors import UnboundedShadowError
 from .simplex import solve
 
-EXPERIMENT_KINDS = (
-    "matrix_tail",
-    "rademacher_tail",
-    "shadow_size",
-    "simplex_pivots",
-    "perceptron_tail",
-    "submatrix_lemma",
-    "smoothed_profile",
-)
-
+BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
 SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
 
@@ -108,7 +99,7 @@ def config_from_echo(d: dict) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in EXPERIMENT_KINDS:
+    if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind: {cfg.kind}")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -128,11 +119,12 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("sigma values must be positive")
         if any(s < 0 or not math.isfinite(s) for s in cfg.sigma_grid):
             raise ConfigError("sigma values must be finite and nonnegative")
-    if cfg.kind != "rademacher_tail" or not cfg.exhaustive:
-        if cfg.d < 1:
-            raise ConfigError("d must be at least 1")
+    if cfg.d < 1:
+        raise ConfigError("d must be at least 1")
     needs_n = ("shadow_size", "simplex_pivots", "perceptron_tail", "submatrix_lemma")
-    if cfg.kind in needs_n and cfg.n < 1:
+    # a profile center file sets its own n
+    builtin_profile = cfg.kind == "smoothed_profile" and cfg.center_source in BUILTIN_CENTERS
+    if (cfg.kind in needs_n or builtin_profile) and cfg.n < 1:
         raise ConfigError("n must be at least 1")
 
 
@@ -147,19 +139,22 @@ def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
         return np.ones((cfg.d, cfg.d))
     try:
         m = np.loadtxt(cfg.center_source, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: text that is not numbers
         raise ConfigError(f"cannot read center file: {exc}") from exc
     if m.shape != (cfg.d, cfg.d):
         raise ConfigError(f"center file has shape {m.shape}, expected ({cfg.d}, {cfg.d})")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("center file entries must be finite")
     return m
 
 
-def _read_center_file(path: str) -> str:
+def read_text_file(path: str, what: str) -> str:
+    """Contents of a UTF-8 text file; ConfigError names `what` if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read center file: {exc}") from exc
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def point_centers(cfg: ExperimentConfig) -> np.ndarray:
@@ -185,7 +180,7 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
             scale = 5.0 ** (-k) if src == "stretched" else 1.0
             rows[i, k] = sign * scale
         return rows
-    inst = parse_instance(_read_center_file(src))
+    inst = parse_instance(read_text_file(src, "center file"))
     if inst.points.shape != (n, d):
         raise ConfigError(
             f"center file has shape {inst.points.shape}, expected ({n}, {d})")
@@ -193,22 +188,48 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trial workers (top-level so process pools can pickle them)
+# block workers (top-level so process pools can pickle them)
+#
+# A block worker takes (cfg, payload, sigma, first stream, count) and returns
+# the records of streams first .. first + count - 1 in stream order. Every
+# trial draws from its own stream, so how trials fall into blocks, and
+# blocks onto processes, never changes a record.
 
-def _streams(sigma_index: int, trials: int, trial: int) -> int:
-    return sigma_index * trials + trial
+BLOCK_TRIALS = 1024      # trials per block of the kinds batched into one SVD
+# Loop kinds spend milliseconds per trial, so small blocks cost nothing and
+# let --jobs split runs of a few dozen trials.
+LOOP_BLOCK_TRIALS = 16
 
 
-def _trial_matrix_tail(args):
-    cfg, center, sigma, stream = args
-    m = gaussian_matrix(center, sigma, SeedSpec(cfg.master_seed, stream))
-    return inverse_norm(m)
+def _block_matrix_tail(args):
+    cfg, center, sigma, first, count = args
+    g = np.stack([SeedSpec(cfg.master_seed, s).rng().standard_normal(center.shape)
+                  for s in range(first, first + count)])
+    return inverse_norms(center + sigma * g).tolist()
 
 
-def _trial_rademacher(args):
-    cfg, stream = args
-    m = rademacher_matrix(cfg.d, SeedSpec(cfg.master_seed, stream))
-    return inverse_norm(m)
+def _block_rademacher(args):
+    cfg, _, _, first, count = args
+    d = cfg.d
+    if cfg.exhaustive:  # "stream" s is the sign matrix whose entry k is bit k of s
+        bits = (np.arange(first, first + count)[:, None] >> np.arange(d * d)) & 1
+    else:
+        bits = np.stack([SeedSpec(cfg.master_seed, s).rng().integers(0, 2, size=(d, d))
+                         for s in range(first, first + count)])
+    return inverse_norms((2.0 * bits - 1.0).reshape(count, d, d)).tolist()
+
+
+def _block_submatrix(args):
+    cfg, centers, sigma, first, count = args
+    tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
+    chunks = list(basis_chunks(cfg.n, cfg.d))
+    sums = []
+    for s in range(first, first + count):
+        pts = centers + sigma * SeedSpec(cfg.master_seed, s).rng().standard_normal(centers.shape)
+        # submatrices with columns a_i, i in I, for every d-subset I
+        sums.append(sum(int(np.count_nonzero(inverse_norms(pts[idx].transpose(0, 2, 1)) >= tau))
+                        for idx in chunks))
+    return sums
 
 
 def _trial_shadow_size(args):
@@ -276,24 +297,12 @@ def _trial_perceptron_tail(args):
             "bound": bound, "within": bool(run.status == "solved")}
 
 
-def _trial_submatrix(args):
-    cfg, centers, sigma, stream = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
-    tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
-    # submatrices with columns a_i, i in I, for every d-subset I
-    return sum(int(np.count_nonzero(inverse_norms(pts[idx].transpose(0, 2, 1)) >= tau))
-               for idx in basis_chunks(cfg.n, cfg.d))
-
-
 def _trial_profile(args):
-    cfg, center_data, sigma, stream = args
-    flat = np.asarray(center_data["flat"], dtype=float)
-    shape = tuple(center_data["shape"])
-    pert = smoothed_input(flat, sigma, SeedSpec(cfg.master_seed, stream)).reshape(shape)
+    cfg, center, sigma, stream = args
+    pert = smoothed_input(center.ravel(), sigma,
+                          SeedSpec(cfg.master_seed, stream)).reshape(center.shape)
     if cfg.measure == "simplex_pivots":
-        n, d = shape
+        n, d = center.shape
         z = np.ones(d) / math.sqrt(d)
         lp = LinearProgram(pert, np.ones(n), z)
         result = solve(lp)
@@ -307,12 +316,35 @@ def _trial_profile(args):
     return {"measure": run.iterations, "status": run.status}
 
 
-def _map_trials(worker, argslist, jobs: int):
-    if jobs <= 1 or len(argslist) <= 1:
-        return [worker(a) for a in argslist]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(argslist) // (4 * jobs))
-        return list(pool.map(worker, argslist, chunksize=chunk))
+def _each_trial(trial, args):
+    cfg, payload, sigma, first, count = args
+    return [trial((cfg, payload, sigma, s)) for s in range(first, first + count)]
+
+
+# the trial functions are looked up at call time, so a wrapper bound to the
+# module name (bench/tracer.py) sees every trial
+def _block_shadow_size(args):
+    return _each_trial(_trial_shadow_size, args)
+
+
+def _block_simplex_pivots(args):
+    return _each_trial(_trial_simplex_pivots, args)
+
+
+def _block_perceptron_tail(args):
+    return _each_trial(_trial_perceptron_tail, args)
+
+
+def _block_profile(args):
+    return _each_trial(_trial_profile, args)
+
+
+def _map_blocks(worker, blocks, jobs: int) -> list:
+    """worker over blocks, in order; one pool of at most one process per block."""
+    if jobs == 1 or len(blocks) == 1:
+        return [worker(b) for b in blocks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+        return list(pool.map(worker, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -488,147 +520,61 @@ def aggregate_profile(cfg: ExperimentConfig, per_trial: list) -> list:
     return rows
 
 
-AGGREGATORS = {
-    "matrix_tail": aggregate_matrix_tail,
-    "rademacher_tail": aggregate_rademacher_tail,
-    "shadow_size": aggregate_shadow_size,
-    "simplex_pivots": aggregate_simplex_pivots,
-    "perceptron_tail": aggregate_perceptron_tail,
-    "submatrix_lemma": aggregate_submatrix,
-    "smoothed_profile": aggregate_profile,
-}
-
-COLUMNS = {
-    "matrix_tail": ["sigma", "threshold", "empirical", "stderr",
-                    "bound_edelman", "bound_sst", "bound_thm43", "bound_conj1"],
-    "rademacher_tail": ["threshold", "empirical", "stderr",
-                        "bound_conjecture2", "bound_status", "singularity_freq"],
-    "shadow_size": ["sigma", "trials", "bounded_trials", "unbounded_trials",
-                    "mean_vertices", "max_vertices", "bound_expected_vertices"],
-    "simplex_pivots": ["sigma", "trials", "mean_pivots", "median_pivots",
-                       "max_pivots", "oracle_match_frac", "hull_checked",
-                       "hull_bound_violations"],
-    "perceptron_tail": ["sigma", "threshold", "empirical", "stderr",
-                        "bound_blum_dunagan", "bound_raw", "vacuous",
-                        "infeasible_freq", "feasible_trials",
-                        "iteration_bound_violations"],
-    "submatrix_lemma": ["sigma", "trials", "indicator_threshold",
-                        "mean_indicator_sum", "lhs_mean", "rhs", "event_freq",
-                        "stated_probability_bound"],
-    "smoothed_profile": ["center_id", "sigma", "mean_measure",
-                         "confidence_halfwidth", "is_smoothed_estimate"],
-}
-
 SCHEMA_VERSION = "v1"
 
 
-def _schema(kind: str) -> str:
-    return f"{kind}.{SCHEMA_VERSION}"
-
-
 # ---------------------------------------------------------------------------
-# runners
+# pre-flight: regime and size gates, then the trial groups and report notes.
+# A group is (per-trial entry header, block payload, trial count); group g
+# owns the streams after those of groups 0 .. g-1.
 
-def run_matrix_tail(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
-    center = center_matrix(cfg)
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        args = [(cfg, center, sigma, _streams(si, cfg.trials, i))
-                for i in range(cfg.trials)]
-        per_trial.append({"sigma": sigma,
-                          "values": _map_trials(_trial_matrix_tail, args, jobs)})
+def _sigma_groups(cfg: ExperimentConfig, payload) -> list:
+    return [({"sigma": sigma}, payload, cfg.trials) for sigma in cfg.sigma_grid]
+
+
+def _regime_notes(cfg: ExperimentConfig, centers) -> list:
+    return [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
+            for m in regime_notes(centers, sigma)]
+
+
+def _prepare_matrix_tail(cfg: ExperimentConfig):
+    groups = _sigma_groups(cfg, center_matrix(cfg))
     notes = []
     if any(s != 1.0 for s in cfg.sigma_grid) or cfg.center_source != "zero":
         notes.append("bound_edelman applies only to zero center with sigma = 1")
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_matrix_tail(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+    return groups, notes
 
 
-def run_rademacher_tail(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
+def _prepare_rademacher(cfg: ExperimentConfig):
+    trials = cfg.trials
     if cfg.exhaustive:
         if cfg.d * cfg.d > 20:
             raise SizeLimitError("exhaustive enumeration limited to d*d <= 20")
-        values = []
-        cells = cfg.d * cfg.d
-        for code in range(2 ** cells):
-            bits = [(code >> k) & 1 for k in range(cells)]
-            m = (2.0 * np.asarray(bits, dtype=float) - 1.0).reshape(cfg.d, cfg.d)
-            values.append(inverse_norm(m))
-    else:
-        args = [(cfg, i) for i in range(cfg.trials)]
-        values = _map_trials(_trial_rademacher, args, jobs)
-    per_trial = [{"values": values}]
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_rademacher_tail(cfg, per_trial),
-                  warnings=["Conjecture-2 bound is conjectural; measured, never asserted"],
-                  per_trial=per_trial)
+        trials = 2 ** (cfg.d * cfg.d)
+    return [({}, None, trials)], ["Conjecture-2 bound is conjectural; measured, never asserted"]
 
 
-def run_shadow_size(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
+def _prepare_shadow_size(cfg: ExperimentConfig):
     centers = point_centers(cfg)
-    notes = []
     for sigma in cfg.sigma_grid:
         shadow_size_bound(cfg.n, cfg.d, sigma)  # out-of-regime guard
-        notes.extend(f"sigma={sigma}: {m}" for m in regime_notes(centers, sigma))
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        args = [(cfg, centers, sigma, _streams(si, cfg.trials, i))
-                for i in range(cfg.trials)]
-        per_trial.append({"sigma": sigma,
-                          "counts": _map_trials(_trial_shadow_size, args, jobs)})
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_shadow_size(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
 
 
-def run_simplex_pivots(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
+def _prepare_simplex_pivots(cfg: ExperimentConfig):
     centers = point_centers(cfg)
-    notes = []
-    for sigma in cfg.sigma_grid:
-        notes.extend(f"sigma={sigma}: {m}" for m in regime_notes(centers, sigma))
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        args = [(cfg, centers, sigma, _streams(si, cfg.trials, i))
-                for i in range(cfg.trials)]
-        per_trial.append({"sigma": sigma,
-                          "records": _map_trials(_trial_simplex_pivots, args, jobs)})
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_simplex_pivots(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
 
 
-def run_perceptron_tail(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
+def _prepare_perceptron_tail(cfg: ExperimentConfig):
     for sigma in cfg.sigma_grid:
         if not (sigma ** 2 < 1.0 / (2.0 * cfg.d)):
             raise OutOfRegimeError("perceptron tail requires sigma^2 < 1/(2d)")
     centers = point_centers(cfg)
-    notes = []
-    for sigma in cfg.sigma_grid:
-        notes.extend(f"sigma={sigma}: {m}" for m in regime_notes(centers, sigma))
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        args = [(cfg, centers, sigma, _streams(si, cfg.trials, i))
-                for i in range(cfg.trials)]
-        per_trial.append({"sigma": sigma,
-                          "records": _map_trials(_trial_perceptron_tail, args, jobs)})
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_perceptron_tail(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
 
 
-def run_submatrix_lemma(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    _validate(cfg)
+def _prepare_submatrix(cfg: ExperimentConfig):
     if math.comb(cfg.n, cfg.d) > SUBMATRIX_BUDGET:
         raise SizeLimitError(
             f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
@@ -636,20 +582,8 @@ def run_submatrix_lemma(cfg: ExperimentConfig, jobs: int = 1) -> Report:
         if sigma ** 2 > variance_regime_limit(cfg.n, cfg.d) * (1 + 1e-12):
             raise OutOfRegimeError("submatrix lemma requires sigma^2 <= 1/(9 d log n)")
     centers = point_centers(cfg)
-    notes = [
-        "the stated inequality direction is evaluated literally; both sides reported"]
-    for sigma in cfg.sigma_grid:
-        notes.extend(f"sigma={sigma}: {m}" for m in regime_notes(centers, sigma))
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        args = [(cfg, centers, sigma, _streams(si, cfg.trials, i))
-                for i in range(cfg.trials)]
-        per_trial.append({"sigma": sigma,
-                          "sums": _map_trials(_trial_submatrix, args, jobs)})
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_submatrix(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+    notes = ["the stated inequality direction is evaluated literally; both sides reported"]
+    return _sigma_groups(cfg, centers), notes + _regime_notes(cfg, centers)
 
 
 def profile_center_set(cfg: ExperimentConfig) -> list:
@@ -659,8 +593,8 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     this finite configured set, and reports label it accordingly.
     """
     n, d = cfg.n, cfg.d
-    if cfg.center_source not in ("zero", "ones", "box", "stretched"):
-        text = _read_center_file(cfg.center_source)
+    if cfg.center_source not in BUILTIN_CENTERS:
+        text = read_text_file(cfg.center_source, "center file")
         if cfg.measure == "simplex_pivots":
             return [("file", parse_lp(text).A)]
         return [("file", parse_instance(text).points)]
@@ -672,46 +606,91 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     return sets
 
 
-def estimate_smoothed_complexity(cfg: ExperimentConfig, jobs: int = 1) -> Report:
+def _prepare_profile(cfg: ExperimentConfig):
     """Per-center trial means under relative perturbation, max over centers.
 
     At sigma = 0 the estimate collapses to the deterministic worst case over
     the center set; a single center gives the plain average-case estimate.
     """
-    _validate(cfg)
     if cfg.measure not in ("simplex_pivots", "perceptron_iterations"):
         raise ConfigError(f"unknown profile measure: {cfg.measure}")
     centers = profile_center_set(cfg)
-    per_trial = []
-    for si, sigma in enumerate(cfg.sigma_grid):
-        for ci, (center_id, data) in enumerate(centers):
-            payload = {"flat": data.ravel(), "shape": data.shape}
-            base = (si * len(centers) + ci) * cfg.trials
-            args = [(cfg, payload, sigma, base + i) for i in range(cfg.trials)]
-            per_trial.append({"sigma": sigma, "center_id": center_id,
-                              "records": _map_trials(_trial_profile, args, jobs)})
-    return Report(schema=_schema(cfg.kind), config=cfg.echo(),
-                  columns=COLUMNS[cfg.kind],
-                  rows=aggregate_profile(cfg, per_trial),
-                  warnings=["smoothed estimate is a max over the tested centers only"],
-                  per_trial=per_trial)
+    groups = [({"sigma": sigma, "center_id": center_id}, data, cfg.trials)
+              for sigma in cfg.sigma_grid for center_id, data in centers]
+    return groups, ["smoothed estimate is a max over the tested centers only"]
 
 
-RUNNERS = {
-    "matrix_tail": run_matrix_tail,
-    "rademacher_tail": run_rademacher_tail,
-    "shadow_size": run_shadow_size,
-    "simplex_pivots": run_simplex_pivots,
-    "perceptron_tail": run_perceptron_tail,
-    "submatrix_lemma": run_submatrix_lemma,
-    "smoothed_profile": estimate_smoothed_complexity,
+# ---------------------------------------------------------------------------
+# the experiment table and its one runner
+
+@dataclass(frozen=True)
+class Kind:
+    block: Callable        # block worker, see above
+    key: str               # name of the record list in a per-trial entry
+    prepare: Callable      # cfg -> (groups, notes), raising on a failed gate
+    aggregate: Callable    # (cfg, per_trial) -> report rows
+    columns: tuple
+    block_trials: int = LOOP_BLOCK_TRIALS
+
+
+KINDS = {
+    "matrix_tail": Kind(
+        _block_matrix_tail, "values", _prepare_matrix_tail, aggregate_matrix_tail,
+        ("sigma", "threshold", "empirical", "stderr",
+         "bound_edelman", "bound_sst", "bound_thm43", "bound_conj1"), BLOCK_TRIALS),
+    "rademacher_tail": Kind(
+        _block_rademacher, "values", _prepare_rademacher, aggregate_rademacher_tail,
+        ("threshold", "empirical", "stderr",
+         "bound_conjecture2", "bound_status", "singularity_freq"), BLOCK_TRIALS),
+    "shadow_size": Kind(
+        _block_shadow_size, "counts", _prepare_shadow_size, aggregate_shadow_size,
+        ("sigma", "trials", "bounded_trials", "unbounded_trials",
+         "mean_vertices", "max_vertices", "bound_expected_vertices")),
+    "simplex_pivots": Kind(
+        _block_simplex_pivots, "records", _prepare_simplex_pivots, aggregate_simplex_pivots,
+        ("sigma", "trials", "mean_pivots", "median_pivots",
+         "max_pivots", "oracle_match_frac", "hull_checked", "hull_bound_violations")),
+    "perceptron_tail": Kind(
+        _block_perceptron_tail, "records", _prepare_perceptron_tail, aggregate_perceptron_tail,
+        ("sigma", "threshold", "empirical", "stderr", "bound_blum_dunagan", "bound_raw",
+         "vacuous", "infeasible_freq", "feasible_trials", "iteration_bound_violations")),
+    "submatrix_lemma": Kind(
+        _block_submatrix, "sums", _prepare_submatrix, aggregate_submatrix,
+        ("sigma", "trials", "indicator_threshold", "mean_indicator_sum",
+         "lhs_mean", "rhs", "event_freq", "stated_probability_bound"), BLOCK_TRIALS),
+    "smoothed_profile": Kind(
+        _block_profile, "records", _prepare_profile, aggregate_profile,
+        ("center_id", "sigma", "mean_measure", "confidence_halfwidth",
+         "is_smoothed_estimate")),
 }
 
 
+def aggregate_rows(cfg: ExperimentConfig, per_trial: list) -> list:
+    """Report rows from per-trial records, for a run and for its replay."""
+    return KINDS[cfg.kind].aggregate(cfg, per_trial)
+
+
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
-    if cfg.kind not in RUNNERS:
-        raise ConfigError(f"unknown experiment kind: {cfg.kind}")
-    return RUNNERS[cfg.kind](cfg, jobs=jobs)
+    """Run every trial of cfg in blocks, over at most `jobs` processes."""
+    if jobs < 1:
+        raise ConfigError("jobs must be at least 1")
+    _validate(cfg)
+    kind = KINDS[cfg.kind]
+    groups, notes = kind.prepare(cfg)
+    blocks, first = [], 0
+    for header, payload, trials in groups:
+        for start in range(0, trials, kind.block_trials):
+            blocks.append((cfg, payload, header.get("sigma"), first + start,
+                           min(kind.block_trials, trials - start)))
+        first += trials
+    records = [r for block in _map_blocks(kind.block, blocks, jobs) for r in block]
+    per_trial, first = [], 0
+    for header, _, trials in groups:
+        per_trial.append({**header, kind.key: records[first:first + trials]})
+        first += trials
+    return Report(schema=f"{cfg.kind}.{SCHEMA_VERSION}", config=cfg.echo(),
+                  columns=list(kind.columns), rows=aggregate_rows(cfg, per_trial),
+                  warnings=notes, per_trial=per_trial)
 
 
 def replay_rows(report_dict: dict) -> list:
@@ -721,7 +700,7 @@ def replay_rows(report_dict: dict) -> list:
         raise InvalidInputError("report has no per-trial records; rerun with --per-trial")
     try:
         cfg = config_from_echo(report_dict["config"])
-        return AGGREGATORS[cfg.kind](cfg, report_dict["per_trial"])
+        return aggregate_rows(cfg, report_dict["per_trial"])
     except KeyError as exc:
         raise InvalidInputError(f"malformed report: missing or unknown key {exc}") from exc
     except (TypeError, ValueError) as exc:

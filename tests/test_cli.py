@@ -79,6 +79,14 @@ class TestConfigFile:
         assert run(["tail-matrix", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "r.csv")]) == 1
 
+    @pytest.mark.parametrize("content", [b"jobs = abc\n", b"sigma = 0.1 x\n", bytes(range(128, 192))])
+    def test_unusable_config_file_is_one_line_error(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_bytes(content)
+        assert run(["tail-matrix", "--config", str(cfgfile), "--d", "2", "--threshold", "5",
+                    "--sigma", "1.0", "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestFixtureCommands:
     def test_solve_lp(self, tmp_path, capsys):
@@ -94,6 +102,14 @@ class TestFixtureCommands:
         bad = tmp_path / "bad.lp"
         bad.write_text("not an lp\n")
         assert run(["solve-lp", str(bad)]) == 1
+
+    @pytest.mark.parametrize("command", ["solve-lp", "run-perceptron"])
+    def test_undecodable_file_is_one_line_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "fixture"
+        bad.write_bytes(bytes(range(128, 192)))   # no valid UTF-8 start byte
+        assert run([command, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
     def test_run_perceptron(self, tmp_path, capsys):
         inst = tmp_path / "p.inst"
@@ -151,6 +167,21 @@ class TestVerifyReport:
 
 
 class TestCenterFile:
+    def test_matrix_center_file_of_text(self, tmp_path, capsys):
+        center = tmp_path / "c.txt"
+        center.write_text("a b\nc d\n")
+        assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+                    "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read center file: ") and err.count("\n") == 1
+
+    def test_matrix_center_file_not_finite(self, tmp_path, capsys):
+        center = tmp_path / "c.txt"
+        center.write_text("1 nan\n0 1\n")
+        assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+                    "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: center file entries must be finite\n"
+
     @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
     def test_profile_missing_center_file(self, tmp_path, capsys, measure):
         assert run(["smoothed-profile", "--n", "6", "--d", "2", "--sigma", "0.1",
@@ -158,6 +189,28 @@ class TestCenterFile:
                     "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read center file: ") and err.count("\n") == 1
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+                    "--trials", "10", "--jobs", jobs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_profile_n_below_one(self, tmp_path, capsys, measure, n):
+        assert run(["smoothed-profile", "--n", n, "--d", "2", "--sigma", "0.1",
+                    "--measure", measure, "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: n must be at least 1\n"
+
+    def test_exhaustive_d_below_one(self, tmp_path, capsys):
+        assert run(["tail-rademacher", "--d", "-1", "--threshold", "2", "--exhaustive",
+                    "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: d must be at least 1\n"
 
 
 class TestOutput:

@@ -1,15 +1,33 @@
+import itertools
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from smoothlab import experiments
+from smoothlab.cli import cli_main
 from smoothlab.errors import ConfigError, OutOfRegimeError, SizeLimitError
 from smoothlab.experiments import (
-    COLUMNS,
+    BLOCK_TRIALS,
+    KINDS,
     ExperimentConfig,
+    _block_matrix_tail,
+    _block_rademacher,
+    _block_submatrix,
     config_from_echo,
+    point_centers,
     run_experiment,
     verify_replay,
+)
+from smoothlab.numkit import inverse_norm
+from smoothlab.perturb import (
+    RegimeWarning,
+    SeedSpec,
+    gaussian_matrix,
+    gaussian_points,
+    rademacher_matrix,
 )
 from smoothlab.reports import Report, to_csv, to_json
 
@@ -51,7 +69,7 @@ class TestMatrixTail:
     def test_shape_and_bounds(self):
         report = run_experiment(self.CFG)
         assert report.schema == "matrix_tail.v1"
-        assert report.columns == COLUMNS["matrix_tail"]
+        assert report.columns == list(KINDS["matrix_tail"].columns)
         assert len(report.rows) == 6
         for row in report.rows:
             assert 0.0 <= row["empirical"] <= 1.0
@@ -217,3 +235,214 @@ class TestSerialization:
         doc = roundtrip(run_experiment(cfg))
         doc["rows"][0]["empirical"] = 0.123456
         assert not verify_replay(doc)
+
+
+# --------------------------------------------------------------------------
+# block workers against per-trial reference loops
+
+def _trial_matrix_tail(args):   # reference: one stream, one inverse_norm
+    cfg, center, sigma, stream = args
+    m = gaussian_matrix(center, sigma, SeedSpec(cfg.master_seed, stream))
+    return inverse_norm(m)
+
+
+def _trial_rademacher(args):
+    cfg, stream = args
+    m = rademacher_matrix(cfg.d, SeedSpec(cfg.master_seed, stream))
+    return inverse_norm(m)
+
+
+def _exhaustive_rademacher(d):
+    values = []
+    cells = d * d
+    for code in range(2 ** cells):
+        bits = [(code >> k) & 1 for k in range(cells)]
+        m = (2.0 * np.asarray(bits, dtype=float) - 1.0).reshape(d, d)
+        values.append(inverse_norm(m))
+    return values
+
+
+def _trial_submatrix(args):
+    cfg, centers, sigma, stream = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
+    tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
+    return sum(int(inverse_norm(pts[list(idx)].T) >= tau)
+               for idx in itertools.combinations(range(cfg.n), cfg.d))
+
+
+def assert_bit_equal(got, want):
+    assert np.array_equal(got, want)
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+COUNTS = (1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3)
+
+
+class TestBlocksMatchLoops:
+    @pytest.mark.parametrize("seed,d,center", [
+        (0, 1, "zero"), (7, 3, "ones"), (2 ** 64 - 1, 4, "zero"), (424242, 4, "tilted")])
+    def test_matrix_tail(self, seed, d, center):
+        cfg = ExperimentConfig(kind="matrix_tail", d=d, master_seed=seed)
+        c = np.zeros((d, d)) if center == "zero" else np.ones((d, d))
+        if center == "tilted":
+            c = np.arange(d * d, dtype=float).reshape(d, d) / 7.0 - 1.0
+        for count, first, sigma in zip(COUNTS, (0, 5, 2 * BLOCK_TRIALS, 123457), (1.0, 0.5, 0.01, 3.0)):
+            want = [_trial_matrix_tail((cfg, c, sigma, s)) for s in range(first, first + count)]
+            assert_bit_equal(_block_matrix_tail((cfg, c, sigma, first, count)), want)
+
+    @pytest.mark.parametrize("seed,d", [(1, 1), (12, 2), (99, 3), (2 ** 63, 4)])
+    def test_rademacher_sampled(self, seed, d):
+        cfg = ExperimentConfig(kind="rademacher_tail", d=d, master_seed=seed)
+        for count, first in zip(COUNTS, (0, 3, BLOCK_TRIALS, 77)):
+            want = [_trial_rademacher((cfg, s)) for s in range(first, first + count)]
+            assert_bit_equal(_block_rademacher((cfg, None, None, first, count)), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rademacher_exhaustive(self, d):
+        cfg = ExperimentConfig(kind="rademacher_tail", d=d, thresholds=(2.0,), exhaustive=True)
+        report = run_experiment(cfg)
+        assert_bit_equal(report.per_trial[0]["values"], _exhaustive_rademacher(d))
+
+    @pytest.mark.parametrize("n,d,center,sigma", [
+        (6, 2, "box", 0.1), (5, 3, "ones", 0.05),
+        # out of the lemma's regime on purpose: tau near 1, so the counts vary
+        (4, 2, "box", 70.0), (5, 3, "zero", 150.0)])
+    def test_submatrix(self, n, d, center, sigma):
+        cfg = ExperimentConfig(kind="submatrix_lemma", n=n, d=d, master_seed=31,
+                               center_source=center)
+        centers = point_centers(cfg)
+        seen = set()
+        for count, first in ((1, 0), (40, 3), (3, BLOCK_TRIALS - 1)):
+            want = [_trial_submatrix((cfg, centers, sigma, s)) for s in range(first, first + count)]
+            assert _block_submatrix((cfg, centers, sigma, first, count)) == want
+            seen.update(want)
+        assert len(seen) > 1 or sigma < 1
+
+    @pytest.mark.parametrize("trials", COUNTS)
+    def test_runner_streams(self, trials):
+        # group g of the run owns streams g * trials .. (g + 1) * trials - 1
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=(1.0, 0.25),
+                               thresholds=(3.0,), trials=trials, master_seed=5)
+        report = run_experiment(cfg)
+        c = np.zeros((2, 2))
+        for g, (entry, sigma) in enumerate(zip(report.per_trial, cfg.sigma_grid)):
+            want = [_trial_matrix_tail((cfg, c, sigma, g * trials + i)) for i in range(trials)]
+            assert entry["sigma"] == sigma
+            assert_bit_equal(entry["values"], want)
+        rad = ExperimentConfig(kind="rademacher_tail", d=3, thresholds=(3.0,),
+                               trials=trials, master_seed=5)
+        assert_bit_equal(run_experiment(rad).per_trial[0]["values"],
+                         [_trial_rademacher((rad, i)) for i in range(trials)])
+
+
+# --------------------------------------------------------------------------
+# parallel runs: the same bytes, one pool, never more workers than blocks
+
+PARALLEL_COMMANDS = {   # each has at least three blocks
+    "matrix_tail": ["tail-matrix", "--d", "3", "--sigma", "1.0", "0.5",
+                    "--threshold", "5", "10", "--trials", "1100"],
+    "rademacher_tail": ["tail-rademacher", "--d", "3", "--threshold", "2",
+                        "--trials", "2100"],
+    "rademacher_exhaustive": ["tail-rademacher", "--d", "4", "--threshold", "2",
+                              "--exhaustive"],
+    "shadow_size": ["shadow-size", "--n", "8", "--d", "3", "--sigma", "0.13",
+                    "--trials", "40", "--center", "box"],
+    "simplex_pivots": ["simplex-pivots", "--n", "6", "--d", "2", "--sigma", "0.1",
+                       "--trials", "40", "--center", "box"],
+    "perceptron_tail": ["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "0.2",
+                        "--threshold", "2", "--trials", "40", "--center", "ones"],
+    "submatrix_lemma": ["submatrix-lemma", "--n", "6", "--d", "3", "--sigma", "0.1",
+                        "--trials", "2100", "--center", "box"],
+    "smoothed_profile": ["smoothed-profile", "--n", "6", "--d", "2",
+                         "--sigma", "0.0", "0.1", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARALLEL_COMMANDS))
+def test_jobs_give_identical_bytes(tmp_path, name):
+    reports = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"r{jobs}.json"
+        assert cli_main(PARALLEL_COMMANDS[name] + ["--seed", "21", "--format", "json",
+                                                   "--per-trial", "--jobs", jobs,
+                                                   "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            lambda max_workers: _RecordingPool(made, max_workers))
+        return made
+
+    @pytest.mark.parametrize("sigmas,trials,jobs,pools", [
+        ((1.0,), 2, 5000, []),                        # one block: no pool at all
+        ((1.0, 0.5), 2, 5000, [2]),                   # capped at the block count
+        ((1.0, 0.5, 0.25), 3 * BLOCK_TRIALS, 2, [2]),  # nine blocks, one pool of two
+        ((1.0, 0.5), 2 * BLOCK_TRIALS, 1, []),
+    ])
+    def test_workers_capped_at_blocks(self, made, sigmas, trials, jobs, pools):
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=sigmas,
+                               thresholds=(3.0,), trials=trials, master_seed=4)
+        assert run_experiment(cfg, jobs=jobs).per_trial == run_experiment(cfg).per_trial
+        assert made == pools
+
+    def test_cli_huge_jobs_on_two_trials(self, made, tmp_path):
+        assert cli_main(["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "0.1", "0.2",
+                         "--threshold", "2", "--trials", "2", "--center", "ones",
+                         "--jobs", "5000", "--out", str(tmp_path / "r.csv")]) == 0
+        assert made == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one(self, made, jobs):
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=(1.0, 0.5),
+                               thresholds=(3.0,), trials=5)
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            run_experiment(cfg, jobs=jobs)
+        assert made == []
+
+
+class TestValidation:
+    @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
+    def test_profile_needs_n_for_builtin_centers(self, measure):
+        cfg = ExperimentConfig(kind="smoothed_profile", n=-3, d=2, sigma_grid=(0.1,),
+                               measure=measure)
+        with pytest.raises(ConfigError, match="n must be at least 1"):
+            run_experiment(cfg)
+
+    def test_profile_file_center_ignores_n(self, tmp_path):
+        center = tmp_path / "c.inst"
+        center.write_text("3 2\n1 0\n0 1\n1 1\n")
+        cfg = ExperimentConfig(kind="smoothed_profile", n=0, d=2, sigma_grid=(0.1,),
+                               trials=2, center_source=str(center),
+                               measure="perceptron_iterations")
+        assert [r["center_id"] for r in run_experiment(cfg).rows] == ["file", "max_over_centers"]
+
+    def test_matrix_center_file_of_text(self, tmp_path):
+        center = tmp_path / "c.txt"
+        center.write_text("a b\n")
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=(1.0,),
+                               thresholds=(3.0,), center_source=str(center))
+        with pytest.raises(ConfigError, match="cannot read center file"):
+            run_experiment(cfg)

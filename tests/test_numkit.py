@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smoothlab.errors import InvalidInputError
-from smoothlab.experiments import ExperimentConfig, _trial_submatrix, point_centers
+from smoothlab.experiments import ExperimentConfig, _block_submatrix, point_centers
 from smoothlab.numkit import (
     condition_number,
     distance_to_span,
@@ -93,11 +93,12 @@ class TestInverseNorms:
                                trials=1, master_seed=17, center_source=center)
         centers = point_centers(cfg)
         tau = sigma ** 2 / (8.0 * d ** 1.5 * n ** 7)
+        expected = []
         for stream in range(5):
             pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
-            expected = sum(inverse_norm(pts[list(idx)].T) >= tau
-                           for idx in itertools.combinations(range(n), d))
-            assert _trial_submatrix((cfg, centers, sigma, stream)) == expected
+            expected.append(sum(inverse_norm(pts[list(idx)].T) >= tau
+                                for idx in itertools.combinations(range(n), d)))
+        assert _block_submatrix((cfg, centers, sigma, 0, 5)) == expected
 
 
 class TestConditionNumber:
