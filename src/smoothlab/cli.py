@@ -13,12 +13,13 @@ import sys
 
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
 from .experiments import (
+    MEASURES,
     ExperimentConfig,
     read_text_file,
     run_experiment,
     verify_replay,
 )
-from .perceptron import parse_instance, run_perceptron, wiggle_room
+from .perceptron import RULES, parse_instance, run_perceptron, wiggle_room
 from .polytope import parse_lp
 from .reports import load_json_report, write_report
 from .simplex import solve
@@ -39,25 +40,41 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--sigma", nargs="+", type=float, default=None,
-                     help="one or more perturbation std deviations")
-    sub.add_argument("--threshold", nargs="+", type=float, default=None,
-                     help="one or more tail thresholds")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--center", default=None,
-                     help="zero | ones | box | stretched | FILE")
-    sub.add_argument("--out", default=None, help="output report path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--per-trial", action="store_true", default=None,
-                     help="include per-trial records (json format only)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="parallel worker processes (default 1)")
-    sub.add_argument("--config", default=None,
-                     help="key=value config file; flags override it")
+# Every experiment flag, declared once for the parser and for config files.
+# dest is the ExperimentConfig field the flag sets, or a run option (format,
+# per_trial, jobs, config). An absent field flag is left out of the
+# namespace, so the ExperimentConfig defaults are the only ones.
+COMMON_FLAGS = {
+    "--n": dict(type=int),
+    "--d": dict(type=int),
+    "--sigma": dict(dest="sigma_grid", metavar="SIGMA", nargs="+", type=float,
+                    help="one or more perturbation std deviations"),
+    "--threshold": dict(dest="thresholds", metavar="THRESHOLD", nargs="+", type=float,
+                        help="one or more tail thresholds"),
+    "--trials": dict(type=int),
+    "--seed": dict(dest="master_seed", metavar="SEED", type=int, help="master seed"),
+    "--center": dict(dest="center_source", metavar="CENTER",
+                     help="zero | ones | box | stretched | FILE"),
+    "--out": dict(dest="output_path", metavar="OUT", help="output report path"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--per-trial": dict(action="store_true", default=False,
+                        help="include per-trial records (json format only)"),
+    "--jobs": dict(type=int, default=1, help="parallel worker processes (default 1)"),
+    "--config": dict(default=None, help="key=value config file; flags override it"),
+}
+COMMAND_FLAGS = {
+    "tail-rademacher": {"--exhaustive": dict(
+        action="store_true", help="enumerate every sign matrix instead of sampling")},
+    "tail-perceptron": {"--rule": dict(choices=RULES)},
+    "smoothed-profile": {"--measure": dict(choices=MEASURES)},
+}
+RUN_OPTIONS = ("command", "format", "per_trial", "jobs", "config")   # not ExperimentConfig fields
+_SWITCH_VALUES = {"true": True, "yes": True, "on": True, "1": True,
+                  "false": False, "no": False, "off": False, "0": False}
+
+
+def _flags(command: str) -> dict:
+    return {**COMMON_FLAGS, **COMMAND_FLAGS.get(command, {})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,18 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "under Gaussian perturbation")
     subs = parser.add_subparsers(dest="command", required=True)
     for command in KIND_BY_COMMAND:
-        sub = subs.add_parser(command)
-        _add_common(sub)
-        if command == "tail-rademacher":
-            sub.add_argument("--exhaustive", action="store_true", default=None,
-                             help="enumerate every sign matrix instead of sampling")
-        if command == "tail-perceptron":
-            sub.add_argument("--rule", choices=("lowest_index", "most_violated"),
-                             default=None)
-        if command == "smoothed-profile":
-            sub.add_argument("--measure",
-                             choices=("simplex_pivots", "perceptron_iterations"),
-                             default=None)
+        sub = subs.add_parser(command, argument_default=argparse.SUPPRESS)
+        for flag, spec in _flags(command).items():
+            sub.add_argument(flag, **spec)
 
     solve_lp = subs.add_parser("solve-lp", help="solve an LP fixture file")
     solve_lp.add_argument("file")
@@ -85,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = subs.add_parser("run-perceptron", help="run on an instance fixture file")
     run_p.add_argument("file")
     run_p.add_argument("--cap", type=int, default=100000)
-    run_p.add_argument("--rule", choices=("lowest_index", "most_violated"),
-                       default="lowest_index")
+    run_p.add_argument("--rule", choices=RULES, default="lowest_index")
 
     verify = subs.add_parser("verify-report",
                              help="recompute aggregates from per-trial records")
@@ -94,77 +101,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_argv(command: str, path: str) -> list:
+    """The flags that a key = value config file stands for.
+
+    A key is a long flag name of the command, with _ or -. List values split
+    on commas and whitespace, a switch takes true/false (yes/no, on/off,
+    1/0), and any other value stays one --key=value token.
+    """
+    flags = _flags(command)
+    argv = []
     for line in read_text_file(path, "config file").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"malformed config line: {line!r}")
-        key, _, raw = line.partition("=")
-        values[key.strip().replace("-", "_")] = raw.strip()
-    return values
+        key, _, raw = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags or flag == "--config":
+            raise ConfigError(f"unknown config key for {command}: {key}")
+        spec = flags[flag]
+        if spec.get("nargs") == "+":
+            argv += [flag, *raw.replace(",", " ").split()]
+        elif spec.get("action") == "store_true":
+            if raw.lower() not in _SWITCH_VALUES:
+                raise ConfigError(f"config key {key}: expected true or false, not {raw!r}")
+            argv += [flag] if _SWITCH_VALUES[raw.lower()] else []
+        else:
+            argv.append(f"{flag}={raw}")
+    return argv
 
 
-_LIST_KEYS = {"sigma", "threshold"}
-_INT_KEYS = {"n", "d", "trials", "seed", "jobs"}
-_BOOL_KEYS = {"per_trial", "exhaustive"}
-
-
-def _coerce(key: str, raw: str):
-    try:
-        if key in _LIST_KEYS:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        if key in _INT_KEYS:
-            return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-    if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return raw
-
-
-def _merged(args: argparse.Namespace) -> dict:
-    merged = {}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            merged[key] = _coerce(key, raw)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _experiment_config(command: str, args: argparse.Namespace) -> tuple:
-    opt = _merged(args)
-    cfg = ExperimentConfig(
-        kind=KIND_BY_COMMAND[command],
-        n=opt.get("n", 0),
-        d=opt.get("d", 0),
-        sigma_grid=tuple(opt.get("sigma", ())),
-        thresholds=tuple(opt.get("threshold", ())),
-        trials=opt.get("trials", 1),
-        master_seed=opt.get("seed", 0),
-        center_source=opt.get("center", "zero"),
-        exhaustive=bool(opt.get("exhaustive", False)),
-        rule=opt.get("rule", "lowest_index"),
-        measure=opt.get("measure", "simplex_pivots"),
-        output_path=opt.get("out"),
-    )
-    fmt = opt.get("format", "csv")
-    per_trial = bool(opt.get("per_trial", False))
-    jobs = int(opt.get("jobs", 1))
-    if per_trial and fmt != "json":
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    fields = {key: value for key, value in vars(args).items() if key not in RUN_OPTIONS}
+    cfg = ExperimentConfig(kind=KIND_BY_COMMAND[args.command], **fields)
+    if args.per_trial and args.format != "json":
         raise ConfigError("--per-trial requires --format json")
     if cfg.output_path is None:
         raise ConfigError("--out is required")
     out_dir = os.path.dirname(os.path.abspath(cfg.output_path))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    return cfg, fmt, per_trial, jobs
+    return cfg
 
 
 def _run_solve_lp(args) -> int:
@@ -196,8 +174,13 @@ def _run_perceptron_file(args) -> int:
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # file flags go first, so the flags given on the command line win
+            args = parser.parse_args(argv[:1] + _config_argv(args.command, args.config)
+                                     + argv[1:])
         if args.command == "solve-lp":
             return _run_solve_lp(args)
         if args.command == "run-perceptron":
@@ -209,9 +192,9 @@ def cli_main(argv=None) -> int:
                 return 0
             print("replay mismatch", file=sys.stderr)
             return 1
-        cfg, fmt, per_trial, jobs = _experiment_config(args.command, args)
-        report = run_experiment(cfg, jobs=jobs)
-        write_report(report, cfg.output_path, fmt, per_trial=per_trial)
+        cfg = _experiment_config(args)
+        report = run_experiment(cfg, jobs=args.jobs)
+        write_report(report, cfg.output_path, args.format, per_trial=args.per_trial)
         return 0
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
@@ -219,10 +202,7 @@ def cli_main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
-    except SmoothlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SmoothlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

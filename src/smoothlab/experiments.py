@@ -15,7 +15,7 @@ import math
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
 from .numkit import inverse_norms
 from .perceptron import (
+    RULES,
     PerceptronInstance,
     blum_dunagan_tail,
     iteration_bound,
@@ -31,9 +32,7 @@ from .perceptron import (
     wiggle_room,
 )
 from .perturb import (
-    RegimeWarning,
     SeedSpec,
-    gaussian_points,
     regime_notes,
     smoothed_input,
     variance_regime_limit,
@@ -52,6 +51,7 @@ from .simplex import solve
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
 SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
+MEASURES = ("simplex_pivots", "perceptron_iterations")
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,6 @@ class Report:
     per_trial: list | None = None
 
 
-def config_from_echo(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    d["sigma_grid"] = tuple(d.get("sigma_grid", ()))
-    d["thresholds"] = tuple(d.get("thresholds", ()))
-    return ExperimentConfig(**d)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind: {cfg.kind}")
@@ -105,6 +98,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("trials must be at least 1")
     if cfg.master_seed < 0 or cfg.master_seed >= 2 ** 64:
         raise ConfigError("master_seed must be a 64-bit unsigned integer")
+    if cfg.rule not in RULES:
+        raise ConfigError(f"unknown perceptron rule: {cfg.rule}")
     tail_kinds = ("matrix_tail", "rademacher_tail", "perceptron_tail")
     if cfg.kind in tail_kinds and not cfg.thresholds:
         raise ConfigError(f"{cfg.kind} requires at least one threshold")
@@ -234,9 +229,8 @@ def _block_submatrix(args):
 
 def _trial_shadow_size(args):
     cfg, centers, sigma, stream = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, 2 * stream))
+    pts = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
+        centers.shape)
     plane_rng = SeedSpec(cfg.master_seed, 2 * stream + 1).rng()
     t = plane_rng.standard_normal(cfg.d)
     z = plane_rng.standard_normal(cfg.d)
@@ -251,7 +245,8 @@ def _trial_simplex_pivots(args):
     cfg, centers, sigma, stream = args
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, 2 * stream))
+        rows = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
+            centers.shape)
         z = SeedSpec(cfg.master_seed, 2 * stream + 1).rng().standard_normal(cfg.d)
         z = z / np.linalg.norm(z)
         lp = LinearProgram(rows, np.ones(cfg.n), z)
@@ -283,9 +278,7 @@ def _trial_simplex_pivots(args):
 
 def _trial_perceptron_tail(args):
     cfg, centers, sigma, stream = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        pts = gaussian_points(centers, sigma, SeedSpec(cfg.master_seed, stream))
+    pts = centers + sigma * SeedSpec(cfg.master_seed, stream).rng().standard_normal(centers.shape)
     inst = PerceptronInstance(pts)
     nu = wiggle_room(inst)
     if nu <= 0.0:
@@ -592,18 +585,13 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     The true worst case maximizes over all inputs; here the maximum is over
     this finite configured set, and reports label it accordingly.
     """
-    n, d = cfg.n, cfg.d
     if cfg.center_source not in BUILTIN_CENTERS:
         text = read_text_file(cfg.center_source, "center file")
         if cfg.measure == "simplex_pivots":
             return [("file", parse_lp(text).A)]
         return [("file", parse_instance(text).points)]
-    sets = []
-    for src in ("box", "stretched", "ones"):
-        c = ExperimentConfig(kind=cfg.kind, n=n, d=d, sigma_grid=(1.0,),
-                             trials=1, center_source=src)
-        sets.append((src, point_centers(c)))
-    return sets
+    return [(src, point_centers(replace(cfg, center_source=src)))
+            for src in ("box", "stretched", "ones")]
 
 
 def _prepare_profile(cfg: ExperimentConfig):
@@ -612,7 +600,7 @@ def _prepare_profile(cfg: ExperimentConfig):
     At sigma = 0 the estimate collapses to the deterministic worst case over
     the center set; a single center gives the plain average-case estimate.
     """
-    if cfg.measure not in ("simplex_pivots", "perceptron_iterations"):
+    if cfg.measure not in MEASURES:
         raise ConfigError(f"unknown profile measure: {cfg.measure}")
     centers = profile_center_set(cfg)
     groups = [({"sigma": sigma, "center_id": center_id}, data, cfg.trials)
@@ -699,7 +687,7 @@ def replay_rows(report_dict: dict) -> list:
     if report_dict.get("per_trial") is None:
         raise InvalidInputError("report has no per-trial records; rerun with --per-trial")
     try:
-        cfg = config_from_echo(report_dict["config"])
+        cfg = ExperimentConfig(**report_dict["config"])
         return aggregate_rows(cfg, report_dict["per_trial"])
     except KeyError as exc:
         raise InvalidInputError(f"malformed report: missing or unknown key {exc}") from exc

@@ -18,6 +18,7 @@ from .errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
+RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
     """
     if iteration_cap < 1:
         raise InvalidInputError("iteration_cap must be at least 1")
-    if rule not in ("lowest_index", "most_violated"):
+    if rule not in RULES:
         raise InvalidInputError(f"unknown selection rule: {rule}")
     norm_pts = inst.normalized()
     rows = list(norm_pts)

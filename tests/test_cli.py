@@ -1,18 +1,41 @@
+import argparse
+import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import smoothlab
 import smoothlab.cli
 import smoothlab.reports
-from smoothlab.cli import cli_main
+from smoothlab.cli import KIND_BY_COMMAND, build_parser, cli_main
+from smoothlab.experiments import ExperimentConfig
 
 CSV_HEADER = ("sigma,threshold,empirical,stderr,"
               "bound_edelman,bound_sst,bound_thm43,bound_conj1")
+HELP_DIR = pathlib.Path(__file__).parent / "help"
 
 
 def run(args):
     return cli_main(args)
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if an experiment starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+    monkeypatch.setattr(smoothlab.cli, "run_experiment", fail)
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 class TestTailMatrix:
@@ -61,6 +84,11 @@ class TestExitCodes:
                     "--exhaustive", "--out", str(out)]) == 3
 
 
+TAIL_MATRIX = ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5"]
+TAIL_PERCEPTRON_ZERO = ["tail-perceptron", "--n", "40", "--d", "5", "--sigma", "0.2",
+                        "--threshold", "2", "--trials", "20", "--center", "zero"]
+
+
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
@@ -86,6 +114,151 @@ class TestConfigFile:
         assert run(["tail-matrix", "--config", str(cfgfile), "--d", "2", "--threshold", "5",
                     "--sigma", "1.0", "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (TAIL_MATRIX, "trails = 500\n", "unknown config key for tail-matrix: trails"),
+        (TAIL_MATRIX, "rule = most_violated\n", "unknown config key for tail-matrix: rule"),
+        (TAIL_MATRIX, "exhaustive = true\n",
+         "unknown config key for tail-matrix: exhaustive"),
+        (TAIL_MATRIX, "config = other.cfg\n", "unknown config key for tail-matrix: config"),
+        (TAIL_MATRIX, "format = xml\n", "argument --format: invalid choice: 'xml'"),
+        (TAIL_MATRIX, "format = json\nper_trial = maybe\n",
+         "config key per_trial: expected true or false, not 'maybe'"),
+        (TAIL_MATRIX, "trials 40\n", "malformed config line: 'trials 40'"),
+        (TAIL_PERCEPTRON_ZERO, "rule = bogus\n", "argument --rule: invalid choice: 'bogus'"),
+    ], ids=["misspelled", "rule-on-tail-matrix", "exhaustive-on-tail-matrix", "nested-config",
+            "format-xml", "per-trial-maybe", "no-equals", "rule-bogus"])
+    def test_bad_key_or_value_fails_before_trials(self, tmp_path, capsys, no_trials,
+                                                  argv, text, message):
+        out = tmp_path / "r.csv"
+        assert run(argv + ["--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    PERCEPTRON = {"n": "10", "d": "3", "sigma": "0.2", "threshold": "2", "trials": "5",
+                  "center": "ones"}
+
+    @pytest.mark.parametrize("key, value, flags, expected", [
+        ("sigma", "0.1, 0.2", ["--sigma", "0.15"], {"sigma_grid": [0.15]}),
+        ("sigma", "0.1, 0.2", [], {"sigma_grid": [0.1, 0.2]}),
+        ("trials", "4", ["--trials", "3"], {"trials": 3}),
+        ("trials", "4", [], {"trials": 4}),
+        ("rule", "most_violated", ["--rule", "lowest_index"], {"rule": "lowest_index"}),
+        ("rule", "most_violated", [], {"rule": "most_violated"}),
+    ])
+    def test_flag_wins_over_file(self, tmp_path, key, value, flags, expected):
+        text = "".join(f"{k} = {v}\n" for k, v in {**self.PERCEPTRON, key: value}.items())
+        out = tmp_path / "r.json"
+        assert run(["tail-perceptron", "--config", write_config(tmp_path, text),
+                    "--format", "json", "--out", str(out)] + flags) == 0
+        config = json.loads(out.read_text())["config"]
+        assert {k: config[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("text, flags, is_json, has_records", [
+        ("format = json\nper_trial = false\n", ["--per-trial"], True, True),
+        ("format = json\nper-trial = yes\n", [], True, True),
+        ("format = json\nper_trial = off\n", [], True, False),
+        ("format = json\n", ["--format", "csv"], False, False),
+        ("format = csv\n", ["--format", "json"], True, False),
+    ], ids=["switch-flag-wins", "switch-from-file", "switch-off-in-file",
+            "choice-flag-wins-csv", "choice-flag-wins-json"])
+    def test_flag_wins_for_switch_and_choice(self, tmp_path, text, flags, is_json, has_records):
+        out = tmp_path / "r.out"
+        argv = TAIL_MATRIX + ["--trials", "10", "--out", str(out)]
+        assert run(argv + ["--config", write_config(tmp_path, text)] + flags) == 0
+        body = out.read_text()
+        assert body.startswith("{") == is_json
+        assert is_json or body.splitlines()[1] == CSV_HEADER
+        assert ('"per_trial"' in body) == has_records
+
+    def test_lists_split_on_commas_and_spaces(self, tmp_path):
+        out = tmp_path / "r.json"
+        text = "d = 2\nsigma = 0.5,1.0\nthreshold = 5, 10 20\nformat = json\n"
+        assert run(["tail-matrix", "--config", write_config(tmp_path, text),
+                    "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["sigma_grid"] == [0.5, 1.0]
+        assert config["thresholds"] == [5.0, 10.0, 20.0]
+
+    def test_paths_with_spaces(self, tmp_path):
+        folder = tmp_path / "a folder"
+        folder.mkdir()
+        center = folder / "center file.txt"
+        center.write_text("1 0\n0 1\n")
+        out = folder / "my report.json"
+        text = (f"d = 2\nsigma = 1.0\nthreshold = 5\ncenter = {center}\n"
+                f"out = {out}\nformat = json\n")
+        assert run(["tail-matrix", "--config", write_config(tmp_path, text)]) == 0
+        assert json.loads(out.read_text())["config"]["center_source"] == str(center)
+
+    def test_absent_options_take_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(cfg, jobs):
+            seen.append(cfg)
+            raise AssertionError("stop before the trials")
+        monkeypatch.setattr(smoothlab.cli, "run_experiment", capture)
+        out = tmp_path / "r.csv"
+        with pytest.raises(AssertionError, match="stop before the trials"):
+            run(["tail-perceptron", "--out", str(out)])
+        assert seen == [ExperimentConfig(kind="perceptron_tail", output_path=str(out))]
+
+
+def subparser(command):
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+class TestOptionDeclarations:
+    RUN_OPTIONS = {"format", "per_trial", "jobs", "config"}
+
+    @pytest.mark.parametrize("command", list(KIND_BY_COMMAND))
+    def test_every_dest_is_a_config_field_or_run_option(self, command):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        dests = {a.dest for a in subparser(command)._actions if a.dest != "help"}
+        assert dests - fields <= self.RUN_OPTIONS
+        # absent experiment flags stay out of the namespace
+        args = build_parser().parse_args([command])
+        assert set(vars(args)) == {"command"} | self.RUN_OPTIONS
+
+    @pytest.mark.parametrize("command", list(KIND_BY_COMMAND))
+    def test_help_text_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text()
+
+
+class TestModuleEntryPoint:
+    """python -m smoothlab.cli reads its flags, and the config file, from sys.argv."""
+
+    def run_module(self, tmp_path, text):
+        src = os.path.dirname(os.path.dirname(smoothlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run(
+            [sys.executable, "-m", "smoothlab.cli", "tail-matrix", "--config",
+             write_config(tmp_path, text), "--seed", "3"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_config_run(self, tmp_path):
+        done = self.run_module(
+            tmp_path, "d = 2\nsigma = 1.0\nthreshold = 5, 10\ntrials = 50\nout = r.csv\n")
+        assert (done.returncode, done.stderr) == (0, "")
+        expected = tmp_path / "expected.csv"
+        assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5", "10",
+                    "--trials", "50", "--seed", "3", "--out", str(expected)]) == 0
+        assert (tmp_path / "r.csv").read_bytes() == expected.read_bytes()
+
+    def test_unknown_key(self, tmp_path):
+        done = self.run_module(
+            tmp_path, "d = 2\nsigma = 1.0\nthreshold = 5\ntrails = 500\nout = r.csv\n")
+        assert done.returncode == 1
+        assert done.stderr == "error: unknown config key for tail-matrix: trails\n"
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestFixtureCommands:
@@ -217,10 +390,7 @@ class TestOutput:
     ARGS = ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
             "--trials", "10"]
 
-    def test_missing_directory_fails_before_trials(self, tmp_path, capsys, monkeypatch):
-        def no_trials(*args, **kwargs):
-            raise AssertionError("the experiment ran")
-        monkeypatch.setattr(smoothlab.cli, "run_experiment", no_trials)
+    def test_missing_directory_fails_before_trials(self, tmp_path, capsys, no_trials):
         missing = tmp_path / "missing"
         assert run(self.ARGS + ["--out", str(missing / "r.csv")]) == 1
         assert capsys.readouterr().err == f"error: output directory does not exist: {missing}\n"

@@ -16,7 +16,6 @@ from smoothlab.experiments import (
     _block_matrix_tail,
     _block_rademacher,
     _block_submatrix,
-    config_from_echo,
     point_centers,
     run_experiment,
     verify_replay,
@@ -36,11 +35,31 @@ def roundtrip(report, per_trial=True):
     return json.loads(to_json(report, per_trial=per_trial))
 
 
+ONE_CONFIG_PER_KIND = [
+    ExperimentConfig(kind="matrix_tail", d=3, sigma_grid=(1.0,),
+                     thresholds=(10.0,), trials=5, master_seed=2),
+    ExperimentConfig(kind="rademacher_tail", d=3, thresholds=(2.0, 10.0), exhaustive=True),
+    ExperimentConfig(kind="shadow_size", n=7, d=3, sigma_grid=(0.05, 0.1), trials=6),
+    ExperimentConfig(kind="simplex_pivots", n=6, d=2, sigma_grid=(0.1,), trials=6,
+                     center_source="box"),
+    ExperimentConfig(kind="perceptron_tail", n=10, d=3, sigma_grid=(0.2,), thresholds=(2.0,),
+                     center_source="ones", rule="most_violated"),
+    ExperimentConfig(kind="submatrix_lemma", n=6, d=2, sigma_grid=(0.1,), trials=40,
+                     master_seed=2 ** 64 - 1),
+    ExperimentConfig(kind="smoothed_profile", n=4, d=2, sigma_grid=(0, 0.1),
+                     measure="perceptron_iterations"),
+]
+
+
 class TestConfig:
-    def test_echo_roundtrip(self):
-        cfg = ExperimentConfig(kind="matrix_tail", d=3, sigma_grid=(1.0,),
-                               thresholds=(10.0,), trials=5, master_seed=2)
-        assert config_from_echo(cfg.echo()) == cfg
+    @pytest.mark.parametrize("cfg", ONE_CONFIG_PER_KIND, ids=lambda cfg: cfg.kind)
+    def test_echo_roundtrip(self, cfg):
+        assert ExperimentConfig(**cfg.echo()) == cfg
+        # as verify-report reads it back: tuples saved as JSON lists
+        assert ExperimentConfig(**json.loads(json.dumps(cfg.echo()))) == cfg
+
+    def test_one_config_per_kind(self):
+        assert sorted(cfg.kind for cfg in ONE_CONFIG_PER_KIND) == sorted(KINDS)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -160,6 +179,14 @@ class TestPerceptronTail:
             assert row["iteration_bound_violations"] == 0
             assert 0.0 <= row["bound_blum_dunagan"] <= 1.0
         assert verify_replay(roundtrip(report))
+
+    def test_unknown_rule_rejected_before_trials(self):
+        # at center zero no trial is feasible, so no perceptron run would check the rule
+        cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
+                               thresholds=(2.0,), trials=20, center_source="zero",
+                               rule="bogus")
+        with pytest.raises(ConfigError, match="unknown perceptron rule: bogus"):
+            run_experiment(cfg)
 
     def test_regime_gate(self):
         cfg = ExperimentConfig(kind="perceptron_tail", n=6, d=2, sigma_grid=(0.9,),

@@ -56,3 +56,25 @@ def test_report_digest(tmp_path, label):
     out = tmp_path / "report"
     assert cli_main(argv + ["--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def as_config(flags: list) -> str:
+    """The key = value config file standing for a list of long flags."""
+    lines = []
+    for token in flags:
+        if token.startswith("--"):
+            lines.append([token[2:].replace("-", "_")])
+        else:
+            lines[-1].append(token)
+    return "".join(f"{key} = {' '.join(values) or 'true'}\n" for key, *values in lines)
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_config_file_digest(tmp_path, label):
+    """The same command, every flag but the command written in a config file."""
+    (command, *flags), digest = GOLDEN[label]
+    out = tmp_path / "report"
+    config = tmp_path / "run.cfg"
+    config.write_text(as_config(flags + ["--seed", "1", "--out", str(out)]))
+    assert cli_main([command, "--config", str(config)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
