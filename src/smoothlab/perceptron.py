@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,18 +20,23 @@ from .errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
 RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
+CERTIFY_STEP = 2 ** 10   # a Brent checkpoint (power of two): one attempt to certify infeasibility
 
 
 @dataclass(frozen=True)
 class PerceptronInstance:
-    points: np.ndarray   # (n, d), all rows nonzero
+    points: np.ndarray   # (n, d), all rows nonzero with finite norms
 
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
         if p.ndim != 2 or p.shape[0] < 1 or not np.all(np.isfinite(p)):
             raise InvalidInputError("points must be a finite n x d array")
-        if np.any(np.linalg.norm(p, axis=1) == 0.0):
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(p, axis=1)
+        if np.any(norms == 0.0):
             raise InvalidInputError("all points must be nonzero")
+        if not np.all(np.isfinite(norms)):
+            raise InvalidInputError("every point's norm must be finite")
         object.__setattr__(self, "points", p)
 
     @property
@@ -59,6 +65,8 @@ def parse_instance(text: str) -> PerceptronInstance:
         raise InvalidInputError("empty instance file")
     try:
         n, d = (int(tok) for tok in lines[0].split())
+        if n < 1 or d < 1:
+            raise InvalidInputError(f"n and d must be at least 1 (header {n} {d})")
         rows = [list(map(float, lines[1 + i].split())) for i in range(n)]
     except (ValueError, IndexError) as exc:
         raise InvalidInputError(f"malformed instance file: {exc}") from exc
@@ -75,6 +83,12 @@ def min_norm_point(points: np.ndarray, max_iter: int = 10000) -> np.ndarray:
     simplex via the affine minimizer. Terminates on the Wolfe criterion
     u.p_j >= ||u||^2 - gap for all j.
     """
+    return _wolfe(points, max_iter)[0]
+
+
+def _wolfe(points: np.ndarray, max_iter: int = 10000) -> tuple[np.ndarray, list]:
+    """min_norm_point's loop: the point u and the row indices of its final
+    active set, whose simplex holds u."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     i0 = int(np.argmin(np.einsum("ij,ij->i", p, p)))
     active = [i0]
@@ -118,7 +132,7 @@ def min_norm_point(points: np.ndarray, max_iter: int = 10000) -> np.ndarray:
             lam = lam[keep]
             lam = lam / lam.sum()
             u = p[active].T @ lam
-    return u
+    return u, active
 
 
 def wiggle_room(inst: PerceptronInstance) -> float:
@@ -154,6 +168,11 @@ def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
     means a periodic walk that never solves: it is reported at the cap at
     once. x is compared with the state saved at step 1, 2, 4, 8, ... (Brent),
     which catches a cycle of period p entered at step m by step 2 max(m, p) + p.
+
+    At the checkpoint at step CERTIFY_STEP the run tries once to prove, in
+    exact arithmetic, that no iterate can pass the test (see
+    _certified_infeasible); if it can, the run is reported at the cap at once,
+    with the record the loop would return there.
     """
     if iteration_cap < 1:
         raise InvalidInputError("iteration_cap must be at least 1")
@@ -180,9 +199,94 @@ def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
         if state == saved:
             break
         if it + 1 == horizon:
+            if horizon == CERTIFY_STEP and _certified_infeasible(inst, iteration_cap):
+                break
             saved, horizon = state, 2 * horizon
     return PerceptronRun(iterations=iteration_cap, final_x=None,
                          status="iteration_cap_reached")
+
+
+def _certified_infeasible(inst: PerceptronInstance, iteration_cap: int) -> bool:
+    """True only if every iterate x that run_perceptron can reach within
+    iteration_cap steps has some computed margin fl(p_j . x) <= 0, so the
+    run can only end at the cap.
+
+    Wolfe's final active set proposes d+1 normalized rows v_j; nothing else
+    from Wolfe is used. In exact rationals, let M have the columns [v_j; 1]
+    and row j of M^-1 be (g_j, lam_j). Then h_j(y) = g_j . y + lam_j are the
+    barycentric coordinates of y in the simplex conv(v_j): h_j(v_k) = [j = k],
+    sum_j h_j = 1, and lam_j = h_j(0). Let delta = min_j lam_j / |g_j|_1.
+    The bound below is positive, so delta above it makes every lam_j > 0,
+    and any w with |w|_inf <= delta has h_j(w) >= lam_j - |g_j|_1 delta >= 0:
+    w lies in the simplex, so w . x >= min_j v_j . x. With w = -delta sign(x),
+
+        min_j v_j . x <= -delta |x|_1.                                    (1)
+
+    Normalization error: with c_j > 0 the row's float norm (any c_j > 0
+    would do), write p_j = c_j w_j exactly and e_j = w_j - v_j. Dot-product
+    rounding: in any summation order, with or without FMA, and with no
+    underflow or overflow, fl(p_j . x) <= p_j . x + gamma_d sum_k |p_jk x_k|,
+    where gamma_d = d u / (1 - d u) and u = 2^-53 (Higham, "Accuracy and
+    Stability of Numerical Algorithms", section 3.1). So for the j of (1) and
+    x != 0,
+
+        fl(p_j . x) <= c_j |x|_1 (-delta + |e_j|_inf + gamma_d |w_j|_inf) < 0
+
+    once delta > max_j (|e_j|_inf + gamma_d |w_j|_inf), the bound checked
+    here. At x = 0 every margin is exactly 0.
+
+    Range: every nonzero entry of the points and of the normalized rows must
+    lie within 2^-300..2^300 and the cap must be at most 2^53. An iterate's
+    entries are then 0 or multiples of 2^-352 below 2^355 in magnitude, and
+    every partial result of fl(p_j . x) is 0 or a multiple of 2^-704 below
+    d 2^656: nothing underflows or overflows.
+
+    This is a filtered predicate in the sense of Shewchuk, "Adaptive
+    Precision Floating-Point Arithmetic and Fast Robust Geometric
+    Predicates" (1997): a float proposal accepted only by an exact test
+    with a stated error margin.
+    """
+    norm_pts = inst.normalized()
+    entries = np.abs(np.concatenate((inst.points.ravel(), norm_pts.ravel())))
+    entries = entries[entries > 0.0]
+    if iteration_cap > 2 ** 53 or entries.min() < 2.0 ** -300 or entries.max() > 2.0 ** 300:
+        return False
+    d = inst.d
+    active = _wolfe(norm_pts)[1]
+    if len(active) != d + 1:
+        return False
+    v = [[Fraction(t) for t in row] for row in norm_pts[active].tolist()]
+    inverse = _exact_inverse([list(coords) for coords in zip(*v)] + [[Fraction(1)] * (d + 1)])
+    if inverse is None:
+        return False
+    delta = min(row[d] / sum(abs(g) for g in row[:d]) for row in inverse)
+    gamma = Fraction(d, 2 ** 53 - d)   # d u / (1 - d u)
+    bound = Fraction(0)
+    for j, vj in zip(active, v):
+        c = Fraction(float(np.linalg.norm(inst.points[j])))
+        w = [Fraction(t) / c for t in inst.points[j].tolist()]
+        error = max(abs(a - b) for a, b in zip(w, vj))
+        bound = max(bound, error + gamma * max(abs(a) for a in w))
+    return delta > bound
+
+
+def _exact_inverse(m: list) -> list | None:
+    """Gauss-Jordan inverse of a square matrix of Fractions (a list of rows),
+    or None if it is singular."""
+    k = len(m)
+    a = [row + [Fraction(int(i == r)) for i in range(k)] for r, row in enumerate(m)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        pivot = a[col][col]
+        a[col] = [t / pivot for t in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [t - f * s for t, s in zip(a[r], a[col])]
+    return [row[k:] for row in a]
 
 
 def iteration_bound(nu: float) -> int:

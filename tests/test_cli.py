@@ -293,6 +293,19 @@ class TestFixtureCommands:
         assert doc["margin"] == pytest.approx(1 / math.sqrt(2))
         assert doc["iterations"] <= 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, message", [
+        ("0 2\n", "malformed instance file: n and d must be at least 1 (header 0 2)"),
+        ("2 0\n", "malformed instance file: n and d must be at least 1 (header 2 0)"),
+        ("1 1\n1e308\n", "every point's norm must be finite"),
+    ])
+    def test_run_perceptron_bad_instance(self, tmp_path, capsys, text, message):
+        inst = tmp_path / "p.inst"
+        inst.write_text(text)
+        assert run(["run-perceptron", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
 
 class TestVerifyReport:
     def make_report(self, tmp_path):

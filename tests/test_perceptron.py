@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smoothlab import perceptron
 from smoothlab.errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
 from smoothlab.perceptron import (
+    CERTIFY_STEP,
     PerceptronInstance,
     PerceptronRun,
     blum_dunagan_tail,
@@ -17,6 +21,7 @@ from smoothlab.perceptron import (
     run_perceptron,
     wiggle_room,
     wiggle_room_grid,
+    _certified_infeasible,
 )
 from smoothlab.perturb import SeedSpec, gaussian_points, smoothed_input
 
@@ -46,6 +51,17 @@ class TestParse:
             parse_instance("2 2\n1 0\n")
         with pytest.raises(InvalidInputError):
             parse_instance("1 2\n0 0\n")
+
+    @pytest.mark.parametrize("text", ["0 2\n", "2 0\n\n\n", "-1 3\n1 2 3\n"])
+    def test_header_below_one(self, text):
+        with pytest.raises(InvalidInputError, match="n and d must be at least 1"):
+            parse_instance(text)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [[[1e308]], [[1.0, 0.0], [1e200, -1e200]]])
+    def test_row_norm_must_be_finite(self, rows):
+        with pytest.raises(InvalidInputError, match="norm must be finite"):
+            PerceptronInstance(rows)
 
 
 class TestWiggleRoom:
@@ -270,6 +286,114 @@ class TestCycleDetection:
             assert want == PerceptronRun(steps, want.final_x, "solved")
             assert_same_run(inst, steps, rule)
             assert_same_run(inst, steps - 1, rule)
+
+
+SIGMAS = (0.05, 0.1, 0.3)
+
+
+def certificate_family(d, streams):
+    """(center, instance): box, stretched and zero centers with n = 2d + 2
+    rows, plus additive Gaussian noise; sigma cycles through SIGMAS."""
+    for src in ("box", "stretched", "zero"):
+        centers = point_centers(ExperimentConfig(kind="perceptron_tail", n=2 * d + 2, d=d,
+                                                 center_source=src))
+        for stream in range(streams):
+            sigma = SIGMAS[(d + stream) % len(SIGMAS)]
+            noise = SeedSpec(6, 100 * d + stream).rng().standard_normal(centers.shape)
+            yield src, PerceptronInstance(centers + sigma * noise)
+
+
+def exact_sign(row, x):
+    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(row, x))
+    return (dot > 0) - (dot < 0)
+
+
+class TestInfeasibilityCertificate:
+    # the origin lies inside this triangle, ~5e-17 from its long edges:
+    # below the rounding bound, so runs on it are left to the loop
+    SHALLOW = PerceptronInstance([[1.0, 0.0], [-1.0, 1e-16], [-1.0, -1e-16]])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_certified_instances_reach_the_cap(self, d):
+        certified = 0
+        for _, inst in certificate_family(d, streams=1):
+            if _certified_infeasible(inst, 10 ** 5):
+                certified += 1
+                want = assert_same_run(inst, 10 ** 5, "lowest_index")
+                assert (want.status, want.iterations) == ("iteration_cap_reached", 10 ** 5)
+        assert certified >= 1
+
+    def test_fires_on_infeasible_box_instances_only(self):
+        infeasible_box = certified_box = 0
+        for d in range(2, 6):
+            for src, inst in certificate_family(d, streams=10):
+                certified = _certified_infeasible(inst, 10 ** 5)
+                nu = wiggle_room(inst)
+                assert not (certified and nu > 0)
+                if src == "box" and nu == 0.0:
+                    infeasible_box += 1
+                    certified_box += certified
+        assert infeasible_box >= 30
+        assert certified_box >= 0.95 * infeasible_box
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=st.tuples(st.integers(1, 5), st.integers(0, 8)).flatmap(
+               lambda dk: st.tuples(
+                   arrays(np.float64, (dk[0] + 1 + dk[1], dk[0]),
+                          elements=st.floats(-4.0, 4.0)),
+                   arrays(np.float64, dk[0], elements=st.floats(-4.0, 4.0)))))
+    def test_property_feasible_is_never_certified(self, case):
+        rows, x_star = case
+        # flip each row to the side where a_i . x_star > 0 exactly (negation
+        # is exact); rows orthogonal to x_star are dropped
+        signs = [exact_sign(r, x_star) for r in rows]
+        rows = [sign * r for sign, r in zip(signs, rows) if sign != 0]
+        if not rows or np.any(np.linalg.norm(rows, axis=1) == 0.0):
+            return
+        inst = PerceptronInstance(np.array(rows))
+        assert not _certified_infeasible(inst, 10 ** 5)
+        # nor when any d+1 rows are proposed in place of Wolfe's active set
+        proposal = list(range(inst.d + 1))
+        if inst.n > inst.d:
+            with mock.patch.object(perceptron, "_wolfe", lambda pts: (None, proposal)):
+                assert not _certified_infeasible(inst, 10 ** 5)
+
+    def test_shallow_origin_is_not_certified(self, monkeypatch):
+        assert not _certified_infeasible(self.SHALLOW, 10 ** 5)
+        for rule in RULES:
+            assert_same_run(self.SHALLOW, 3 * CERTIFY_STEP, rule)
+        # the exact test rejects the shallow triangle and a simplex that
+        # misses the origin even when they are proposed
+        monkeypatch.setattr(perceptron, "_wolfe", lambda pts: (None, [0, 1, 2]))
+        assert not _certified_infeasible(self.SHALLOW, 10 ** 5)
+        assert not _certified_infeasible(
+            PerceptronInstance([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]), 10 ** 5)
+        assert _certified_infeasible(
+            PerceptronInstance([[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]]), 10 ** 5)
+
+    def test_one_attempt_only_at_the_checkpoint(self, monkeypatch):
+        attempts = []
+
+        def counted(inst, iteration_cap):
+            attempts.append(iteration_cap)
+            return _certified_infeasible(inst, iteration_cap)
+        monkeypatch.setattr(perceptron, "_certified_infeasible", counted)
+        assert run_perceptron(PerceptronInstance([[1.0, 0.1], [1.0, -0.1]]), 10 ** 5).iterations == 1
+        assert attempts == []
+        assert run_perceptron(self.SHALLOW, 4 * CERTIFY_STEP).status == "iteration_cap_reached"
+        assert attempts == [4 * CERTIFY_STEP]
+
+    def test_profile_box_sigma_01_at_a_huge_cap(self):
+        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.1,),
+                               measure="perceptron_iterations")
+        center_id, center = profile_center_set(cfg)[0]
+        assert center_id == "box"
+        inst = PerceptronInstance(smoothed_input(center.ravel(), 0.1,
+                                                 SeedSpec(1, 0)).reshape(center.shape))
+        assert _certified_infeasible(inst, 10 ** 9)   # else the loop below takes hours
+        for rule in RULES:
+            run = run_perceptron(inst, iteration_cap=10 ** 9, rule=rule)
+            assert run == PerceptronRun(10 ** 9, None, "iteration_cap_reached")
 
 
 class TestBounds:
