@@ -38,6 +38,7 @@ from .perturb import (
     variance_regime_limit,
 )
 from .polytope import (
+    DegeneracyWarning,
     LinearProgram,
     basis_chunks,
     brute_force_optimum,
@@ -244,7 +245,7 @@ def _trial_shadow_size(args):
 def _trial_simplex_pivots(args):
     cfg, centers, sigma, stream = args
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", DegeneracyWarning)
         rows = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
             centers.shape)
         z = SeedSpec(cfg.master_seed, 2 * stream + 1).rng().standard_normal(cfg.d)

@@ -5,6 +5,10 @@ enumeration over all d-subsets of constraints is the correctness oracle for
 the pivoting code, so it stays exhaustive and exact at desk scale. It scans the
 d-subsets in canonical order in batched chunks (feasible_bases), and the tests
 cross-check that scan against a one-basis-at-a-time loop.
+
+Rays and feasibility come from one SVD of A: {w : Aw <= 0} is null(A) plus a
+pointed cone whose extreme rays are null vectors of (r-1)-row subsets in the
+rank-r row space, where {Ax <= b} is feasible iff it has a feasible basis.
 """
 
 from __future__ import annotations
@@ -95,6 +99,8 @@ def parse_lp(text: str) -> LinearProgram:
         raise InvalidInputError("empty LP file")
     try:
         n, d = (int(tok) for tok in lines[0].split())
+        if n < 1 or d < 1:
+            raise InvalidInputError(f"n and d must be at least 1 (header {n} {d})")
         rows = [list(map(float, lines[1 + i].split())) for i in range(n)]
         zline = list(map(float, lines[1 + n].split()))
     except (ValueError, IndexError) as exc:
@@ -113,14 +119,10 @@ def format_lp(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_budget(n: int, d: int, limit: int = MAX_BASES) -> None:
-    if math.comb(n, d) > limit:
-        raise SizeLimitError(f"C({n},{d}) = {math.comb(n, d)} exceeds the budget {limit}")
-
-
 def basis_chunks(n: int, d: int):
     """d-subsets of range(n) in combinations order, as (k, d) arrays, k <= BASIS_CHUNK."""
-    _check_budget(n, d)
+    if math.comb(n, d) > MAX_BASES:
+        raise SizeLimitError(f"C({n},{d}) = {math.comb(n, d)} exceeds the budget {MAX_BASES}")
     subsets = combinations(range(n), d)
     while chunk := list(islice(subsets, BASIS_CHUNK)):
         yield np.array(chunk, dtype=np.intp)
@@ -160,43 +162,52 @@ def enumerate_vertices(lp: LinearProgram) -> list:
     return verts
 
 
-def _recession_box_vertices(A: np.ndarray) -> list:
-    """Vertices of {w : Aw <= 0, |w_i| <= 1}, the truncated recession cone."""
-    n, d = A.shape
-    box = np.vstack([np.eye(d), -np.eye(d)])
-    lp = LinearProgram(np.vstack([A, box]), np.concatenate([np.zeros(n), np.ones(2 * d)]),
-                       np.zeros(d))
-    # the apex of a pointed cone has many coincident bases; not worth flagging
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        return enumerate_vertices(lp)
+def _row_space(A: np.ndarray):
+    """Orthonormal (d, r) and (d, d - r) bases of the row space and the null space of A."""
+    _, s, vt = np.linalg.svd(A)
+    r = int(np.count_nonzero(s >= 1e-12 * max(1.0, s[0])))   # feasible_bases' rank cutoff
+    return vt[:r].T, vt[r:].T
 
 
 def recession_directions(A: np.ndarray) -> np.ndarray:
-    """Nonzero extreme points of the truncated recession cone, as rows."""
-    verts = _recession_box_vertices(np.asarray(A, dtype=float))
-    dirs = [v.point for v in verts if np.linalg.norm(v.point) > 1e-9]
-    return np.asarray(dirs) if dirs else np.zeros((0, A.shape[1]))
+    """Unit rays w, as rows, with A w <= FEAS_TOL that generate the cone {w : Aw <= 0}.
+
+    The candidates are +-v for a basis of null(A) and, in row-space coordinates
+    B = A U of rank r, +-(null vector) of every r - 1 independent rows of B.
+    """
+    A = np.asarray(A, dtype=float)
+    rows, null = _row_space(A)
+    B = A @ rows
+    r = B.shape[1]
+    found = [np.ones((1, 1))] if r == 1 else []
+    for idx in basis_chunks(A.shape[0], r - 1) if r > 1 else ():
+        _, s, vt = np.linalg.svd(B[idx])
+        found.append(vt[s[:, -1] >= 1e-12 * np.maximum(1.0, s[:, 0]), -1])
+    v = np.concatenate(found + [-f for f in found]) if found else np.zeros((0, r))
+    dirs = np.concatenate([null.T, -null.T, v @ rows.T])
+    return dirs[np.all(A @ dirs.T <= FEAS_TOL, axis=0)]
+
+
+def improving_ray(A: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """The recession direction with the largest z.r, if z.r > 1e-9; else None."""
+    dirs = recession_directions(A)
+    gains = dirs @ z
+    if len(dirs) and gains.max() > 1e-9:
+        return dirs[int(np.argmax(gains))]
+    return None
 
 
 def is_feasible(lp: LinearProgram) -> bool:
-    """Exact desk-scale feasibility of {Ax <= b} via homogenization.
+    """Whether {Ax <= b} is nonempty, decided in row-space coordinates y of A.
 
-    {Ax <= b} is nonempty iff the bounded polytope
-    {(x, s) : Ax - bs <= 0, 0 <= s <= 1, |x_i| <= 1} has a vertex with s > 0.
+    {y : AU y <= b} has full column rank, so it is nonempty iff it has a
+    feasible basis. At rank 0 the test is b >= -FEAS_TOL.
     """
-    n, d = lp.n, lp.d
-    rows = np.hstack([lp.A, -lp.b[:, None]])
-    box = np.hstack([np.vstack([np.eye(d), -np.eye(d)]), np.zeros((2 * d, 1))])
-    s_rows = np.zeros((2, d + 1))
-    s_rows[0, d] = 1.0
-    s_rows[1, d] = -1.0
-    big_a = np.vstack([rows, box, s_rows])
-    big_b = np.concatenate([np.zeros(n), np.ones(2 * d), [1.0, 0.0]])
-    aug = LinearProgram(big_a, big_b, np.zeros(d + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        return any(v.point[d] > 1e-9 for v in enumerate_vertices(aug))
+    rows, _ = _row_space(lp.A)
+    if rows.shape[1] == 0:
+        return bool(np.all(lp.b >= -FEAS_TOL))
+    reduced = LinearProgram(lp.A @ rows, lp.b, np.zeros(rows.shape[1]))
+    return any(len(tight) for tight, _ in feasible_bases(reduced))
 
 
 @dataclass(frozen=True)
@@ -211,26 +222,20 @@ def brute_force_optimum(lp: LinearProgram) -> OptimumResult:
     """Oracle LP solver by exhaustive enumeration.
 
     Returns an object with .status in {"optimal", "unbounded", "infeasible"},
-    .vertex (for optimal) and .ray (for unbounded). Raises PhaseOneError-free:
-    a feasible polytope without vertices that is bounded in the z direction
-    has no basic optimum and is reported via InvalidInputError.
+    .vertex (for optimal) and .ray (for unbounded). A feasible polytope with
+    no vertex and no improving ray raises InvalidInputError.
     """
     verts = enumerate_vertices(lp)
-    feasible = bool(verts) or is_feasible(lp)
-    if not feasible:
+    if not (verts or is_feasible(lp)):
         return OptimumResult("infeasible")
-    dirs = recession_directions(lp.A)
-    if len(dirs):
-        gains = dirs @ lp.z
-        k = int(np.argmax(gains))
-        if gains[k] > 1e-9:
-            return OptimumResult("unbounded", ray=dirs[k])
+    ray = improving_ray(lp.A, lp.z)
+    if ray is not None:
+        return OptimumResult("unbounded", ray=ray)
     if not verts:
         raise InvalidInputError(
             "feasible polytope has no vertices; optimum not attained at a basic solution")
     best = max(verts, key=lambda v: (v.objective_value(lp.z), tuple(-i for i in v.tight_set)))
     return OptimumResult("optimal", vertex=best, value=best.objective_value(lp.z))
-
 
 
 def plane_basis(t, z) -> np.ndarray:
@@ -271,17 +276,15 @@ def convex_hull_2d(points: np.ndarray, tol: float = COLLINEAR_TOL):
         return (pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1]) - \
                (pts[a][1] - pts[o][1]) * (pts[b][0] - pts[o][0])
 
-    lower = []
-    for i in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= tol:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= tol:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
+    def half(order):   # lower chain left to right, or upper chain right to left
+        chain = []
+        for i in order:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= tol:
+                chain.pop()
+            chain.append(i)
+        return chain[:-1]
+
+    hull = half(uniq) + half(reversed(uniq))
     return pts[hull], hull
 
 

@@ -28,8 +28,8 @@ from .polytope import (
     LinearProgram,
     PolytopeVertex,
     feasible_bases,
+    improving_ray,
     is_feasible,
-    recession_directions,
 )
 
 PIVOT_TIE_TOL = 1e-9
@@ -180,14 +180,9 @@ def solve(lp: LinearProgram) -> SolveResult:
         found = find_initial_vertex(lp)
     except PhaseOneError:
         # feasible but no basic solution: still detect an improving ray
-        dirs = recession_directions(lp.A)
-        if len(dirs) and float(np.max(dirs @ lp.z)) > 1e-9:
-            k = int(np.argmax(dirs @ lp.z))
-            return SolveResult("unbounded",
-                               PivotTrace(visited=[], pivot_count=0,
-                                          outcome="unbounded", ray=dirs[k]))
-        return SolveResult("phase1_failed",
-                           PivotTrace(visited=[], pivot_count=0, outcome="phase1_failed"))
+        ray = improving_ray(lp.A, lp.z)
+        status = "phase1_failed" if ray is None else "unbounded"
+        return SolveResult(status, PivotTrace(visited=[], pivot_count=0, outcome=status, ray=ray))
     if found is None:
         return SolveResult("infeasible",
                            PivotTrace(visited=[], pivot_count=0, outcome="phase1_failed"))

@@ -306,6 +306,33 @@ class TestFixtureCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["0 2\n1 1\n", "-1 2\n1 1\n", "2 0\n1\n1\n"])
+    @pytest.mark.parametrize("command", [
+        "solve-lp {lp}",
+        "smoothed-profile --measure simplex_pivots --n 4 --d 2 --sigma 0.1 --trials 1 "
+        "--center {lp} --out {lp}.csv",
+    ])
+    def test_bad_lp_header(self, tmp_path, capsys, command, text):
+        lp = tmp_path / "bad.lp"
+        lp.write_text(text)
+        assert run(command.format(lp=lp).split()) == 1
+        captured = capsys.readouterr()
+        header = " ".join(text.split()[:2])
+        assert captured.err == ("error: malformed LP file: n and d must be at least 1 "
+                                f"(header {header})\n") and captured.out == ""
+
+    def test_solve_lp_huge_row_without_vertices(self, tmp_path, capsys):
+        # one row, two variables: no basis, so feasibility and rays decide alone
+        lp = tmp_path / "huge.lp"
+        lp.write_text("1 2\n1e308 1e308 1\n1 1\n")
+        assert run(["solve-lp", str(lp)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"lambda_breakpoints": [], "pivot_count": 0,
+                                            "status": "phase1_failed",
+                                            "visited_tight_sets": []}
+        assert captured.err == ""
+
 
 class TestVerifyReport:
     def make_report(self, tmp_path):

@@ -29,6 +29,7 @@ from smoothlab.perturb import (
     rademacher_matrix,
 )
 from smoothlab.reports import Report, to_csv, to_json
+from smoothlab.simplex import solve
 
 
 def roundtrip(report, per_trial=True):
@@ -167,6 +168,27 @@ class TestSimplexPivots:
         assert row["oracle_match_frac"] == 1.0
         assert row["hull_bound_violations"] == 0
         assert verify_replay(roundtrip(report))
+
+    @staticmethod
+    def box_trial(sigma):
+        cfg = ExperimentConfig(kind="simplex_pivots", n=8, d=3, sigma_grid=(sigma,), trials=1,
+                               center_source="box")
+        return experiments._trial_simplex_pivots((cfg, point_centers(cfg), sigma, 0))
+
+    def test_trial_silences_coincident_vertices(self):
+        # rows 6 and 7 repeat rows 0 and 1, so distinct bases share vertices
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.box_trial(1e-9)["agree"]
+
+    def test_trial_lets_other_warnings_through(self, monkeypatch):
+        def noisy_solve(lp):
+            warnings.warn("overflow in a trial", RuntimeWarning)
+            return solve(lp)
+
+        monkeypatch.setattr(experiments, "solve", noisy_solve)
+        with pytest.warns(RuntimeWarning, match="overflow in a trial"):
+            self.box_trial(0.1)
 
 
 class TestPerceptronTail:

@@ -24,6 +24,7 @@ from smoothlab.polytope import (
     convex_hull_2d,
     enumerate_vertices,
     format_lp,
+    improving_ray,
     is_feasible,
     parse_lp,
     plane_basis,
@@ -184,7 +185,7 @@ def box_centers(n, d, stretch=1.0):
 
 
 def recession_lp(a):
-    """The LP _recession_box_vertices enumerates: {w : Aw <= 0, |w_i| <= 1}."""
+    """The box-truncated recession cone {w : Aw <= 0, |w_i| <= 1}."""
     n, d = a.shape
     box = np.vstack([np.eye(d), -np.eye(d)])
     return LinearProgram(np.vstack([a, box]),
@@ -260,6 +261,89 @@ class TestScanMatchesLoop:
             start = assert_scan_matches_loop(lp)
             rank = list(combinations(range(lp.n), lp.d)).index(start.tight_set)
             assert rank >= BASIS_CHUNK
+
+
+# --------------------------------------------------------------------------
+# the box-truncated scans that recession_directions and is_feasible replaced
+
+def _quiet_vertices(lp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        return enumerate_vertices(lp)
+
+
+def truncated_cone_rays(a):
+    """Reference rays: the nonzero vertices of the box-truncated recession cone."""
+    pts = [v.point for v in _quiet_vertices(recession_lp(a)) if np.linalg.norm(v.point) > 1e-9]
+    return np.array(pts).reshape(-1, a.shape[1])
+
+
+def homogenized_feasible(lp):
+    """Reference feasibility: {(x, s) : Ax - bs <= 0, s >= 0, |x_i|, |s| <= 1} has s > 0."""
+    cone = np.vstack([np.hstack([lp.A, -lp.b[:, None]]), -np.eye(lp.d + 1)[-1:]])
+    return any(v.point[-1] > 1e-9 for v in _quiet_vertices(recession_lp(cone)))
+
+
+def decisions(rays, lp, q):
+    """Bounded, has an improving ray, has a ray visible in the plane q."""
+    return (len(rays) == 0, len(rays) > 0 and float(np.max(rays @ lp.z)) > 1e-9,
+            len(rays) > 0 and float(np.max(np.linalg.norm(rays @ q, axis=1))) > 1e-9)
+
+
+def _cone_instance(family, rng, k):
+    """A seeded LP of one family, with b = 1 or Gaussian, d 2-4 and n 4-10."""
+    n, d = 4 + k % 7, 2 + k % 3
+    rows = {
+        "box": lambda: box_centers(n, d) + 0.1 * rng.standard_normal((n, d)),
+        "zero": lambda: rng.standard_normal((n, d)),
+        "ones": lambda: np.ones((n, d)) + 0.1 * rng.standard_normal((n, d)),
+        "ones_sigma0": lambda: np.ones((n, d)),
+        "rank1": lambda: rng.standard_normal((n, 1)) * rng.standard_normal(d),
+        "n_below_d": lambda: rng.standard_normal((1 + k % (d - 1), d)),
+        "orthant": lambda: -np.vstack([np.eye(d), np.abs(rng.standard_normal((n - d, d)))]),
+        "a_zero": lambda: np.zeros((n, d)),
+        "duplicated": lambda: np.repeat(box_centers(n, d)[: (n + 1) // 2], 2, axis=0)[:n]
+        + 0.1 * np.repeat(rng.standard_normal(((n + 1) // 2, d)), 2, axis=0)[:n],
+    }[family]()
+    b = np.ones(len(rows)) if k % 2 else rng.standard_normal(len(rows))
+    return LinearProgram(rows, b, rng.standard_normal(rows.shape[1]))
+
+
+def assert_matches_truncated_scans(lp, rng):
+    rays = recession_directions(lp.A)
+    assert rays.shape[1] == lp.d
+    assert np.allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
+    assert np.all(lp.A @ rays.T <= 1e-9)
+    q = plane_basis(rng.standard_normal(lp.d), rng.standard_normal(lp.d))
+    assert decisions(rays, lp, q) == decisions(truncated_cone_rays(lp.A), lp, q)
+    assert (improving_ray(lp.A, lp.z) is not None) == decisions(rays, lp, q)[1]
+    assert is_feasible(lp) == homogenized_feasible(lp)
+
+
+CONE_FAMILIES = ("a_zero", "box", "duplicated", "n_below_d", "ones", "ones_sigma0", "orthant",
+                 "rank1", "zero")
+
+
+class TestRaysMatchTruncatedScans:
+    @pytest.mark.parametrize("family", CONE_FAMILIES)
+    def test_family(self, family):
+        rng = np.random.default_rng(CONE_FAMILIES.index(family) + 170)
+        for k in range(16):
+            assert_matches_truncated_scans(_cone_instance(family, rng, k), rng)
+
+    def test_improving_ray(self):
+        # x_0 <= 1 leaves the rays -e_0 and +-e_1
+        a = np.array([[1.0, 0.0]])
+        assert np.array_equal(improving_ray(a, np.array([-1.0, 0.5])), [-1.0, 0.0])
+        assert improving_ray(a, np.array([1.0, 0.0])) is None
+        assert improving_ray(CUBE3, np.ones(3)) is None
+
+    def test_no_size_limit_past_the_polytope_scan(self):
+        # the truncated cone of this 36 x 5 box has C(46, 5) > MAX_BASES bases
+        rng = np.random.default_rng(36)
+        lp = perturbed_lp(rng, box_centers(36, 5), sigma=0.05)
+        assert len(recession_directions(lp.A)) == 0
+        assert is_feasible(lp)
 
 
 class TestBruteForceOptimum:
