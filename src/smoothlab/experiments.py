@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
-from .numkit import inverse_norms
+from .numkit import inverse_norm
 from .perceptron import (
     RULES,
     PerceptronInstance,
@@ -86,7 +86,7 @@ class ExperimentConfig:
 class Report:
     schema: str
     config: dict
-    columns: list
+    columns: list          # the keys of the first row, in order
     rows: list
     warnings: list = field(default_factory=list)
     per_trial: list | None = None
@@ -201,7 +201,7 @@ def _block_matrix_tail(args):
     cfg, center, sigma, first, count = args
     g = np.stack([SeedSpec(cfg.master_seed, s).rng().standard_normal(center.shape)
                   for s in range(first, first + count)])
-    return inverse_norms(center + sigma * g).tolist()
+    return inverse_norm(center + sigma * g).tolist()
 
 
 def _block_rademacher(args):
@@ -212,7 +212,7 @@ def _block_rademacher(args):
     else:
         bits = np.stack([SeedSpec(cfg.master_seed, s).rng().integers(0, 2, size=(d, d))
                          for s in range(first, first + count)])
-    return inverse_norms((2.0 * bits - 1.0).reshape(count, d, d)).tolist()
+    return inverse_norm((2.0 * bits - 1.0).reshape(count, d, d)).tolist()
 
 
 def _block_submatrix(args):
@@ -223,7 +223,7 @@ def _block_submatrix(args):
     for s in range(first, first + count):
         pts = centers + sigma * SeedSpec(cfg.master_seed, s).rng().standard_normal(centers.shape)
         # submatrices with columns a_i, i in I, for every d-subset I
-        sums.append(sum(int(np.count_nonzero(inverse_norms(pts[idx].transpose(0, 2, 1)) >= tau))
+        sums.append(sum(int(np.count_nonzero(inverse_norm(pts[idx].transpose(0, 2, 1)) >= tau))
                         for idx in chunks))
     return sums
 
@@ -244,36 +244,34 @@ def _trial_shadow_size(args):
 
 def _trial_simplex_pivots(args):
     cfg, centers, sigma, stream = args
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        rows = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
-            centers.shape)
-        z = SeedSpec(cfg.master_seed, 2 * stream + 1).rng().standard_normal(cfg.d)
-        z = z / np.linalg.norm(z)
-        lp = LinearProgram(rows, np.ones(cfg.n), z)
-        result = solve(lp)
-        oracle = brute_force_optimum(lp)
-        agree = result.status == oracle.status
-        gap = None
-        if agree and result.status == "optimal":
-            gap = abs(result.objective_value(lp) - oracle.value)
-            agree = gap <= 1e-6
-        rec = {
-            "status": result.status,
-            "oracle_status": oracle.status,
-            "agree": bool(agree),
-            "pivots": result.trace.pivot_count,
-            "hull_count": None,
-            "within_hull": None,
-        }
-        if result.status == "optimal" and result.start_objective is not None:
-            try:
-                poly = shadow_polygon(rows, result.start_objective, z)
-            except (UnboundedShadowError, InvalidInputError):
-                poly = None
-            if poly is not None:
-                rec["hull_count"] = int(poly.vertex_count)
-                rec["within_hull"] = bool(result.trace.pivot_count <= poly.vertex_count)
+    rows = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
+        centers.shape)
+    z = SeedSpec(cfg.master_seed, 2 * stream + 1).rng().standard_normal(cfg.d)
+    z = z / np.linalg.norm(z)
+    lp = LinearProgram(rows, np.ones(cfg.n), z)
+    result = solve(lp)
+    oracle = brute_force_optimum(lp)
+    agree = result.status == oracle.status
+    gap = None
+    if agree and result.status == "optimal":
+        gap = abs(result.objective_value(lp) - oracle.value)
+        agree = gap <= 1e-6
+    rec = {
+        "status": result.status,
+        "oracle_status": oracle.status,
+        "agree": bool(agree),
+        "pivots": result.trace.pivot_count,
+        "hull_count": None,
+        "within_hull": None,
+    }
+    if result.status == "optimal" and result.start_objective is not None:
+        try:
+            poly = shadow_polygon(rows, result.start_objective, z)
+        except (UnboundedShadowError, InvalidInputError):
+            poly = None
+        if poly is not None:
+            rec["hull_count"] = int(poly.vertex_count)
+            rec["within_hull"] = bool(result.trace.pivot_count <= poly.vertex_count)
     return rec
 
 
@@ -312,7 +310,10 @@ def _trial_profile(args):
 
 def _each_trial(trial, args):
     cfg, payload, sigma, first, count = args
-    return [trial((cfg, payload, sigma, s)) for s in range(first, first + count)]
+    # coincident vertices at small sigma are expected; other warnings escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegeneracyWarning)
+        return [trial((cfg, payload, sigma, s)) for s in range(first, first + count)]
 
 
 # the trial functions are looked up at call time, so a wrapper bound to the
@@ -617,40 +618,24 @@ class Kind:
     block: Callable        # block worker, see above
     key: str               # name of the record list in a per-trial entry
     prepare: Callable      # cfg -> (groups, notes), raising on a failed gate
-    aggregate: Callable    # (cfg, per_trial) -> report rows
-    columns: tuple
+    aggregate: Callable    # (cfg, per_trial) -> report rows, whose keys are the columns
     block_trials: int = LOOP_BLOCK_TRIALS
 
 
 KINDS = {
-    "matrix_tail": Kind(
-        _block_matrix_tail, "values", _prepare_matrix_tail, aggregate_matrix_tail,
-        ("sigma", "threshold", "empirical", "stderr",
-         "bound_edelman", "bound_sst", "bound_thm43", "bound_conj1"), BLOCK_TRIALS),
-    "rademacher_tail": Kind(
-        _block_rademacher, "values", _prepare_rademacher, aggregate_rademacher_tail,
-        ("threshold", "empirical", "stderr",
-         "bound_conjecture2", "bound_status", "singularity_freq"), BLOCK_TRIALS),
-    "shadow_size": Kind(
-        _block_shadow_size, "counts", _prepare_shadow_size, aggregate_shadow_size,
-        ("sigma", "trials", "bounded_trials", "unbounded_trials",
-         "mean_vertices", "max_vertices", "bound_expected_vertices")),
-    "simplex_pivots": Kind(
-        _block_simplex_pivots, "records", _prepare_simplex_pivots, aggregate_simplex_pivots,
-        ("sigma", "trials", "mean_pivots", "median_pivots",
-         "max_pivots", "oracle_match_frac", "hull_checked", "hull_bound_violations")),
-    "perceptron_tail": Kind(
-        _block_perceptron_tail, "records", _prepare_perceptron_tail, aggregate_perceptron_tail,
-        ("sigma", "threshold", "empirical", "stderr", "bound_blum_dunagan", "bound_raw",
-         "vacuous", "infeasible_freq", "feasible_trials", "iteration_bound_violations")),
-    "submatrix_lemma": Kind(
-        _block_submatrix, "sums", _prepare_submatrix, aggregate_submatrix,
-        ("sigma", "trials", "indicator_threshold", "mean_indicator_sum",
-         "lhs_mean", "rhs", "event_freq", "stated_probability_bound"), BLOCK_TRIALS),
-    "smoothed_profile": Kind(
-        _block_profile, "records", _prepare_profile, aggregate_profile,
-        ("center_id", "sigma", "mean_measure", "confidence_halfwidth",
-         "is_smoothed_estimate")),
+    "matrix_tail": Kind(_block_matrix_tail, "values", _prepare_matrix_tail,
+                        aggregate_matrix_tail, BLOCK_TRIALS),
+    "rademacher_tail": Kind(_block_rademacher, "values", _prepare_rademacher,
+                            aggregate_rademacher_tail, BLOCK_TRIALS),
+    "shadow_size": Kind(_block_shadow_size, "counts", _prepare_shadow_size,
+                        aggregate_shadow_size),
+    "simplex_pivots": Kind(_block_simplex_pivots, "records", _prepare_simplex_pivots,
+                           aggregate_simplex_pivots),
+    "perceptron_tail": Kind(_block_perceptron_tail, "records", _prepare_perceptron_tail,
+                            aggregate_perceptron_tail),
+    "submatrix_lemma": Kind(_block_submatrix, "sums", _prepare_submatrix,
+                            aggregate_submatrix, BLOCK_TRIALS),
+    "smoothed_profile": Kind(_block_profile, "records", _prepare_profile, aggregate_profile),
 }
 
 
@@ -677,9 +662,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
     for header, _, trials in groups:
         per_trial.append({**header, kind.key: records[first:first + trials]})
         first += trials
+    rows = aggregate_rows(cfg, per_trial)
     return Report(schema=f"{cfg.kind}.{SCHEMA_VERSION}", config=cfg.echo(),
-                  columns=list(kind.columns), rows=aggregate_rows(cfg, per_trial),
-                  warnings=notes, per_trial=per_trial)
+                  columns=list(rows[0]), rows=rows, warnings=notes, per_trial=per_trial)
 
 
 def replay_rows(report_dict: dict) -> list:

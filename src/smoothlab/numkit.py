@@ -3,7 +3,8 @@
 Everything here operates on plain numpy arrays (matrices row-major, vectors
 1-d). Dimensions are small (d up to a few dozen), so full SVDs are used
 throughout; accuracy of the smallest singular value matters far more than
-throughput for the tail experiments built on top.
+throughput for the tail experiments built on top. inverse_norm alone also
+takes a (k, d, d) stack, for one batched SVD per block of trials.
 """
 
 from __future__ import annotations
@@ -55,23 +56,18 @@ def operator_norm(m) -> float:
     return float(singular_values(m)[0])
 
 
-def inverse_norm(m) -> float:
-    """Norm of the inverse, 1/sigma_min; +inf for a singular matrix."""
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError("inverse_norm requires a square matrix")
-    s = singular_values(a)
-    if _is_singular(s):
-        return math.inf
-    return 1.0 / float(s[-1])
+def inverse_norm(m) -> float | np.ndarray:
+    """Norm of the inverse, 1/sigma_min; +inf for a singular matrix.
 
-
-def inverse_norms(stack) -> np.ndarray:
-    """inverse_norm of each matrix of a (k, d, d) stack, by one batched SVD."""
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0 or not np.all(np.isfinite(a)):
-        raise InvalidInputError("inverse_norms requires a finite (k, d, d) stack, d >= 1")
+    A (k, d, d) stack gives the k norms as an array, from one batched SVD.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0 \
+            or not np.all(np.isfinite(a)):
+        raise InvalidInputError("inverse_norm requires a finite square matrix or (k, d, d) stack")
     s = np.linalg.svd(a, compute_uv=False)
+    if a.ndim == 2:
+        return math.inf if _is_singular(s) else 1.0 / float(s[-1])
     with np.errstate(divide="ignore"):
         return np.where(_is_singular(s), math.inf, 1.0 / s[:, -1])
 

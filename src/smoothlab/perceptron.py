@@ -19,6 +19,7 @@ from .errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
+MNP_MAX_ITER = 10000     # Wolfe major cycles, and minor cycles per major cycle
 RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 CERTIFY_STEP = 2 ** 10   # a Brent checkpoint (power of two): one attempt to certify infeasibility
 
@@ -75,7 +76,7 @@ def parse_instance(text: str) -> PerceptronInstance:
     return PerceptronInstance(np.asarray(rows, dtype=float))
 
 
-def min_norm_point(points: np.ndarray, max_iter: int = 10000) -> np.ndarray:
+def min_norm_point(points: np.ndarray) -> np.ndarray:
     """Wolfe's algorithm for the minimum-norm point in a convex hull.
 
     Major cycle adds the point most opposed to the current iterate; minor
@@ -83,10 +84,10 @@ def min_norm_point(points: np.ndarray, max_iter: int = 10000) -> np.ndarray:
     simplex via the affine minimizer. Terminates on the Wolfe criterion
     u.p_j >= ||u||^2 - gap for all j.
     """
-    return _wolfe(points, max_iter)[0]
+    return _wolfe(points)[0]
 
 
-def _wolfe(points: np.ndarray, max_iter: int = 10000) -> tuple[np.ndarray, list]:
+def _wolfe(points: np.ndarray) -> tuple[np.ndarray, list]:
     """min_norm_point's loop: the point u and the row indices of its final
     active set, whose simplex holds u."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -94,7 +95,7 @@ def _wolfe(points: np.ndarray, max_iter: int = 10000) -> tuple[np.ndarray, list]
     active = [i0]
     lam = np.array([1.0])
     u = p[i0].copy()
-    for _ in range(max_iter):
+    for _ in range(MNP_MAX_ITER):
         scores = p @ u
         j = int(np.argmin(scores))
         uu = float(u @ u)
@@ -104,7 +105,7 @@ def _wolfe(points: np.ndarray, max_iter: int = 10000) -> tuple[np.ndarray, list]
             break
         active.append(j)
         lam = np.append(lam, 0.0)
-        for _ in range(max_iter):
+        for _ in range(MNP_MAX_ITER):
             q = p[active]
             m = len(active)
             # affine minimizer: (Q Q^T) alpha + mu 1 = 0, sum alpha = 1

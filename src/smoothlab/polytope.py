@@ -9,6 +9,7 @@ cross-check that scan against a one-basis-at-a-time loop.
 Rays and feasibility come from one SVD of A: {w : Aw <= 0} is null(A) plus a
 pointed cone whose extreme rays are null vectors of (r-1)-row subsets in the
 rank-r row space, where {Ax <= b} is feasible iff it has a feasible basis.
+Every rank decision is _independent on rows scaled to a unit largest entry.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ class LinearProgram:
             raise InvalidInputError("inconsistent LP dimensions")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(z))):
             raise InvalidInputError("LP data must be finite")
+        with np.errstate(over="ignore"):   # hypot overflows only past the float range
+            if not np.all(np.isfinite(np.hypot.reduce(a, axis=1))):
+                raise InvalidInputError("constraint row norms must be finite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "z", z)
@@ -82,7 +86,6 @@ class PolytopeVertex:
 
 @dataclass(frozen=True)
 class ShadowPolygon:
-    plane: tuple            # (t, z) as given
     basis: np.ndarray       # (d, 2) orthonormal basis of span(t, z)
     hull_points: np.ndarray  # (k, 2) counterclockwise, lexicographic start
     preimages: tuple         # PolytopeVertex per hull point
@@ -128,15 +131,26 @@ def basis_chunks(n: int, d: int):
         yield np.array(chunk, dtype=np.intp)
 
 
+def _unit_peak_rows(A: np.ndarray) -> np.ndarray:
+    """A with each nonzero row divided by its largest absolute entry."""
+    peak = np.max(np.abs(A), axis=-1, keepdims=True, initial=0.0)
+    return A / np.where(peak > 0.0, peak, 1.0)
+
+
+def _independent(s: np.ndarray):
+    """Whether the rows whose _unit_peak_rows have singular values s are independent."""
+    return s[..., -1] > 1e-12 * s[..., 0]
+
+
 def feasible_bases(lp: LinearProgram):
     """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
 
     Per chunk: one batched SVD rejects singular bases, one batched solve
     gives the basic solutions, one mask keeps those with A x - b <= FEAS_TOL.
     """
+    scaled = _unit_peak_rows(lp.A)
     for idx in basis_chunks(lp.n, lp.d):
-        s = np.linalg.svd(lp.A[idx], compute_uv=False)
-        idx = idx[~(s[:, -1] < 1e-12 * np.maximum(1.0, s[:, 0]))]
+        idx = idx[_independent(np.linalg.svd(scaled[idx], compute_uv=False))]
         x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
         # stacked matvec: the same rounding as lp.A @ x on each point
         feasible = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
@@ -164,8 +178,8 @@ def enumerate_vertices(lp: LinearProgram) -> list:
 
 def _row_space(A: np.ndarray):
     """Orthonormal (d, r) and (d, d - r) bases of the row space and the null space of A."""
-    _, s, vt = np.linalg.svd(A)
-    r = int(np.count_nonzero(s >= 1e-12 * max(1.0, s[0])))   # feasible_bases' rank cutoff
+    _, s, vt = np.linalg.svd(_unit_peak_rows(A))   # scaled rows span the same spaces
+    r = sum(int(_independent(s[:k])) for k in range(1, s.size + 1))   # passing prefixes
     return vt[:r].T, vt[r:].T
 
 
@@ -177,12 +191,12 @@ def recession_directions(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     rows, null = _row_space(A)
-    B = A @ rows
+    B = _unit_peak_rows(A @ rows)
     r = B.shape[1]
     found = [np.ones((1, 1))] if r == 1 else []
     for idx in basis_chunks(A.shape[0], r - 1) if r > 1 else ():
         _, s, vt = np.linalg.svd(B[idx])
-        found.append(vt[s[:, -1] >= 1e-12 * np.maximum(1.0, s[:, 0]), -1])
+        found.append(vt[_independent(s), -1])
     v = np.concatenate(found + [-f for f in found]) if found else np.zeros((0, r))
     dirs = np.concatenate([null.T, -null.T, v @ rows.T])
     return dirs[np.all(A @ dirs.T <= FEAS_TOL, axis=0)]
@@ -256,18 +270,18 @@ def plane_basis(t, z) -> np.ndarray:
     return np.column_stack([q1, q2])
 
 
-def convex_hull_2d(points: np.ndarray, tol: float = COLLINEAR_TOL):
+def convex_hull_2d(points: np.ndarray):
     """Andrew monotone chain; counterclockwise, lexicographic tie-breaking.
 
     Returns (hull_points, indices-into-points). Strictly convex: collinear
-    intermediate points (within tol) are dropped.
+    intermediate points (within COLLINEAR_TOL) are dropped.
     """
     pts = np.asarray(points, dtype=float)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     # drop exact/near duplicates so hull indices are well defined
     uniq = []
     for i in order:
-        if not uniq or np.linalg.norm(pts[i] - pts[uniq[-1]]) > tol:
+        if not uniq or np.linalg.norm(pts[i] - pts[uniq[-1]]) > COLLINEAR_TOL:
             uniq.append(int(i))
     if len(uniq) <= 2:
         return pts[uniq], uniq
@@ -279,7 +293,7 @@ def convex_hull_2d(points: np.ndarray, tol: float = COLLINEAR_TOL):
     def half(order):   # lower chain left to right, or upper chain right to left
         chain = []
         for i in order:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= tol:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= COLLINEAR_TOL:
                 chain.pop()
             chain.append(i)
         return chain[:-1]
@@ -308,9 +322,7 @@ def shadow_polygon(rows, plane_t, plane_z) -> ShadowPolygon:
         raise UnboundedShadowError("polytope has no vertices to project")
     proj = np.array([v.point @ q for v in verts])
     hull, idx = convex_hull_2d(proj)
-    return ShadowPolygon(plane=(np.asarray(plane_t, dtype=float), np.asarray(plane_z, dtype=float)),
-                         basis=q, hull_points=hull,
-                         preimages=tuple(verts[i] for i in idx))
+    return ShadowPolygon(basis=q, hull_points=hull, preimages=tuple(verts[i] for i in idx))
 
 
 def shadow_size_bound(n: int, d: int, sigma: float) -> float:

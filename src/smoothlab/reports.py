@@ -38,26 +38,16 @@ def to_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):   # numpy scalars and arrays
-        return _jsonable(value.tolist())
-    return value
-
-
 def to_json(report: Report, per_trial: bool = False) -> str:
     doc = {
         "schema": report.schema,
-        "config": _jsonable(report.config),
+        "config": report.config,
         "columns": list(report.columns),
-        "rows": _jsonable(report.rows),
+        "rows": report.rows,
         "warnings": list(report.warnings),
     }
     if per_trial:
-        doc["per_trial"] = _jsonable(report.per_trial)
+        doc["per_trial"] = report.per_trial
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

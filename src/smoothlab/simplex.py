@@ -27,6 +27,8 @@ from .errors import InvalidStartError, PhaseOneError
 from .polytope import (
     LinearProgram,
     PolytopeVertex,
+    _independent,
+    _unit_peak_rows,
     feasible_bases,
     improving_ray,
     is_feasible,
@@ -53,23 +55,20 @@ class PivotTrace:
         }
 
 
-def _verify_start(lp: LinearProgram, start: PolytopeVertex, t: np.ndarray) -> np.ndarray:
+def _verify_start(lp: LinearProgram, start: PolytopeVertex, t: np.ndarray) -> None:
     idx = list(start.tight_set)
     if len(set(idx)) != lp.d or min(idx) < 0 or max(idx) >= lp.n:
         raise InvalidStartError("tight set must be d distinct constraint indices")
     sub = lp.A[idx]
-    s = np.linalg.svd(sub, compute_uv=False)
-    if s[-1] < 1e-12 * max(1.0, s[0]):
+    if not _independent(np.linalg.svd(_unit_peak_rows(sub), compute_uv=False)):
         raise InvalidStartError("tight-set rows are linearly dependent")
     x = np.asarray(start.point, dtype=float)
     if np.max(np.abs(sub @ x - lp.b[idx])) > 1e-7:
         raise InvalidStartError("tight constraints are not tight at the start point")
     if np.max(lp.A @ x - lp.b) > 1e-7:
         raise InvalidStartError("start point is infeasible")
-    mu_t = np.linalg.solve(sub.T, t)
-    if np.min(mu_t) < -1e-7:
+    if np.min(np.linalg.solve(sub.T, t)) < -1e-7:
         raise InvalidStartError("start vertex is not optimal for the start objective")
-    return mu_t
 
 
 def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective) -> PivotTrace:

@@ -32,6 +32,15 @@ def no_trials(monkeypatch):
     monkeypatch.setattr(smoothlab.cli, "run_experiment", fail)
 
 
+def run_process(argv, cwd):
+    """python -m smoothlab.cli argv in a fresh interpreter, with this smoothlab."""
+    src = os.path.dirname(os.path.dirname(smoothlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "smoothlab.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -236,13 +245,8 @@ class TestModuleEntryPoint:
     """python -m smoothlab.cli reads its flags, and the config file, from sys.argv."""
 
     def run_module(self, tmp_path, text):
-        src = os.path.dirname(os.path.dirname(smoothlab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run(
-            [sys.executable, "-m", "smoothlab.cli", "tail-matrix", "--config",
-             write_config(tmp_path, text), "--seed", "3"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        return run_process(["tail-matrix", "--config", write_config(tmp_path, text),
+                            "--seed", "3"], tmp_path)
 
     def test_config_run(self, tmp_path):
         done = self.run_module(
@@ -332,6 +336,32 @@ class TestFixtureCommands:
                                             "status": "phase1_failed",
                                             "visited_tight_sets": []}
         assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_solve_lp_row_norm_past_float_range(self, tmp_path, capsys):
+        lp = tmp_path / "overflow.lp"
+        lp.write_text("1 2\n1.5e308 1.5e308 1\n1 1\n")
+        assert run(["solve-lp", str(lp)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: constraint row norms must be finite\n"
+        assert captured.out == ""
+
+    def test_solve_lp_badly_scaled_rows(self, tmp_path, capsys):
+        # one vertex, (1e-10, 1000): the rows' scales differ by 1e13
+        lp = tmp_path / "scaled.lp"
+        lp.write_text("2 2\n1e10 0 1\n0 1e-3 1\n0 1\n")
+        assert run(["solve-lp", str(lp)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "optimal"
+        assert doc["x"] == pytest.approx([1e-10, 1000.0], rel=1e-12)
+        assert doc["value"] == pytest.approx(1000.0, rel=1e-12)
+
+    def test_shadow_size_keeps_stderr_clean(self, tmp_path):
+        # at sigma 1e-9 the box center's repeated rows give coincident vertices
+        done = run_process(["shadow-size", "--n", "8", "--d", "3", "--sigma", "1e-9",
+                            "--trials", "3", "--center", "box", "--out", "r.csv"], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "r.csv").exists()
 
 
 class TestVerifyReport:

@@ -89,7 +89,8 @@ class TestMatrixTail:
     def test_shape_and_bounds(self):
         report = run_experiment(self.CFG)
         assert report.schema == "matrix_tail.v1"
-        assert report.columns == list(KINDS["matrix_tail"].columns)
+        assert report.columns == ["sigma", "threshold", "empirical", "stderr",
+                                  "bound_edelman", "bound_sst", "bound_thm43", "bound_conj1"]
         assert len(report.rows) == 6
         for row in report.rows:
             assert 0.0 <= row["empirical"] <= 1.0
@@ -173,7 +174,7 @@ class TestSimplexPivots:
     def box_trial(sigma):
         cfg = ExperimentConfig(kind="simplex_pivots", n=8, d=3, sigma_grid=(sigma,), trials=1,
                                center_source="box")
-        return experiments._trial_simplex_pivots((cfg, point_centers(cfg), sigma, 0))
+        return experiments._block_simplex_pivots((cfg, point_centers(cfg), sigma, 0, 1))[0]
 
     def test_trial_silences_coincident_vertices(self):
         # rows 6 and 7 repeat rows 0 and 1, so distinct bases share vertices

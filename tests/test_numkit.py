@@ -11,7 +11,6 @@ from smoothlab.numkit import (
     distance_to_span,
     height,
     inverse_norm,
-    inverse_norms,
     operator_norm,
 )
 from smoothlab.perturb import SeedSpec, gaussian_points
@@ -67,7 +66,7 @@ class TestInverseNorms:
     def test_sign_matrices_match_inverse_norm(self):
         # all 512 3x3 +-1 matrices; the exactly singular ones must give inf
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=9))).reshape(-1, 3, 3)
-        got = inverse_norms(signs)
+        got = inverse_norm(signs)
         assert np.array_equal(got, [inverse_norm(m) for m in signs])
         singular = np.round(np.linalg.det(signs)) == 0
         assert singular.any() and not singular.all()
@@ -78,13 +77,12 @@ class TestInverseNorms:
         for d in (1, 2, 4):
             stack = rng.standard_normal((300, d, d))
             stack[::7, 0] = stack[::7, -1]   # repeated rows: singular unless d = 1
-            assert np.array_equal(inverse_norms(stack), [inverse_norm(m) for m in stack])
+            assert np.array_equal(inverse_norm(stack), [inverse_norm(m) for m in stack])
 
     def test_rejects_bad_stacks(self):
-        for bad in (np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((2, 0, 0)),
-                    np.full((1, 2, 2), np.nan)):
+        for bad in (np.ones((2, 2, 3)), np.ones((2, 0, 0)), np.full((1, 2, 2), np.nan)):
             with pytest.raises(InvalidInputError):
-                inverse_norms(bad)
+                inverse_norm(bad)
 
     @pytest.mark.parametrize("n,d,center", [(8, 3, "box"), (11, 4, "ones"), (6, 2, "zero")])
     def test_trial_submatrix_matches_subset_loop(self, n, d, center):

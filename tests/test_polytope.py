@@ -113,8 +113,12 @@ def loop_bases(lp):
     """Reference scan: (tight set, rows, point) of each feasible basis, one at a time."""
     for idx in combinations(range(lp.n), lp.d):
         sub = lp.A[list(idx)]
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[-1] < 1e-12 * max(1.0, s[0]):
+        peak = np.abs(sub).max(axis=1)
+        if not peak.all():
+            continue
+        # independence is judged with each row divided by its largest entry
+        s = np.linalg.svd(sub / peak[:, None], compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
             continue
         x = np.linalg.solve(sub, lp.b[list(idx)])
         if np.all(lp.A @ x - lp.b <= FEAS_TOL):
@@ -233,6 +237,17 @@ class TestScanMatchesLoop:
         rng = np.random.default_rng(sorted(FAMILIES).index(family) + 70)
         for k in range(FAMILIES[family]):
             assert_scan_matches_loop(_instances(family, rng, k))
+
+    def test_badly_scaled_rows(self):
+        # each row and its b times 10^u, |u| <= 6: the same polytope, so the same vertices
+        rng = np.random.default_rng(13)
+        for k in range(30):
+            lp = _instances("box", rng, k)
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=lp.n)
+            scaled = LinearProgram(lp.A * scale[:, None], lp.b * scale, lp.z)
+            assert_scan_matches_loop(scaled)
+            assert ([v.tight_set for v in enumerate_vertices(scaled)]
+                    == [v.tight_set for v in enumerate_vertices(lp)])
 
     def test_recession_lp_flags_coincident_bases(self):
         lp = recession_lp(np.random.default_rng(3).standard_normal((8, 3)))
@@ -364,6 +379,16 @@ class TestBruteForceOptimum:
         res = brute_force_optimum(lp)
         assert res.status == "unbounded"
         assert res.ray @ lp.z > 0
+
+    def test_badly_scaled_rows(self):
+        # rows 1e13 apart in scale still make a basis: the one vertex (1e-10, 1000)
+        lp = LinearProgram(np.array([[1e10, 0.0], [0.0, 1e-3]]), np.array([1.0, 1.0]),
+                           np.array([0.0, 1.0]))
+        res = brute_force_optimum(lp)
+        assert res.status == "optimal"
+        assert res.vertex.tight_set == (0, 1)
+        assert res.vertex.point == pytest.approx([1e-10, 1000.0], rel=1e-12)
+        assert res.value == pytest.approx(1000.0, rel=1e-12)
 
 
 class TestPlaneAndHull:
