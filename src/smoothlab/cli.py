@@ -13,6 +13,7 @@ import sys
 
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
 from .experiments import (
+    KINDS,
     MEASURES,
     ExperimentConfig,
     read_text_file,
@@ -24,15 +25,7 @@ from .polytope import parse_lp
 from .reports import load_json_report, write_report
 from .simplex import solve
 
-KIND_BY_COMMAND = {
-    "tail-matrix": "matrix_tail",
-    "tail-rademacher": "rademacher_tail",
-    "shadow-size": "shadow_size",
-    "simplex-pivots": "simplex_pivots",
-    "tail-perceptron": "perceptron_tail",
-    "submatrix-lemma": "submatrix_lemma",
-    "smoothed-profile": "smoothed_profile",
-}
+KIND_BY_COMMAND = {kind.command: name for name, kind in KINDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,11 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Every experiment flag, declared once for the parser and for config files.
-# dest is the ExperimentConfig field the flag sets, or a run option (format,
-# per_trial, jobs, config). An absent field flag is left out of the
-# namespace, so the ExperimentConfig defaults are the only ones.
-COMMON_FLAGS = {
+# Every experiment flag, declared once for the parser and for config files,
+# in help order. dest is the ExperimentConfig field the flag sets, or a run
+# option; a command takes the flags of its kind's fields and every run
+# option. An absent field flag is left out of the namespace, so the
+# ExperimentConfig defaults are the only ones.
+FLAGS = {
     "--n": dict(type=int),
     "--d": dict(type=int),
     "--sigma": dict(dest="sigma_grid", metavar="SIGMA", nargs="+", type=float,
@@ -61,20 +55,20 @@ COMMON_FLAGS = {
                         help="include per-trial records (json format only)"),
     "--jobs": dict(type=int, default=1, help="parallel worker processes (default 1)"),
     "--config": dict(default=None, help="key=value config file; flags override it"),
+    "--exhaustive": dict(action="store_true",
+                         help="enumerate every sign matrix instead of sampling"),
+    "--rule": dict(choices=RULES),
+    "--measure": dict(choices=MEASURES),
 }
-COMMAND_FLAGS = {
-    "tail-rademacher": {"--exhaustive": dict(
-        action="store_true", help="enumerate every sign matrix instead of sampling")},
-    "tail-perceptron": {"--rule": dict(choices=RULES)},
-    "smoothed-profile": {"--measure": dict(choices=MEASURES)},
-}
-RUN_OPTIONS = ("command", "format", "per_trial", "jobs", "config")   # not ExperimentConfig fields
+RUN_OPTIONS = ("output_path", "format", "per_trial", "jobs", "config")   # not parameters
 _SWITCH_VALUES = {"true": True, "yes": True, "on": True, "1": True,
                   "false": False, "no": False, "off": False, "0": False}
 
 
 def _flags(command: str) -> dict:
-    return {**COMMON_FLAGS, **COMMAND_FLAGS.get(command, {})}
+    keep = KINDS[KIND_BY_COMMAND[command]].fields + RUN_OPTIONS
+    return {flag: spec for flag, spec in FLAGS.items()
+            if spec.get("dest", flag[2:].replace("-", "_")) in keep}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +127,10 @@ def _config_argv(command: str, path: str) -> list:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {key: value for key, value in vars(args).items() if key not in RUN_OPTIONS}
-    cfg = ExperimentConfig(kind=KIND_BY_COMMAND[args.command], **fields)
+    kind = KIND_BY_COMMAND[args.command]
+    options = vars(args)
+    cfg = ExperimentConfig(kind=kind, output_path=options.get("output_path"),
+                           **{f: options[f] for f in KINDS[kind].fields if f in options})
     if args.per_trial and args.format != "json":
         raise ConfigError("--per-trial requires --format json")
     if cfg.output_path is None:
@@ -147,13 +143,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _run_solve_lp(args) -> int:
     lp = parse_lp(read_text_file(args.file, "LP file"))
-    result = solve(lp)
-    doc = result.trace.to_json_dict()
-    doc["status"] = result.status
-    if result.status == "optimal":
-        vertex = result.vertex
-        doc["x"] = [float(v) for v in vertex.point]
-        doc["value"] = result.objective_value(lp)
+    trace = solve(lp)
+    doc = trace.to_json_dict()
+    if trace.status == "optimal":
+        doc["x"] = [float(v) for v in trace.vertex.point]
+        doc["value"] = trace.objective_value(lp)
     print(json.dumps(doc, sort_keys=True))
     return 0
 

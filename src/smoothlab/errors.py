@@ -39,7 +39,3 @@ class InvalidStartError(InvalidInputError):
 
 class InfeasibleMarginError(SmoothlabError):
     """Margin is nonpositive, so the iteration bound is undefined."""
-
-
-class PhaseOneError(SmoothlabError):
-    """The polytope is feasible but has no basic feasible solution."""

@@ -95,20 +95,20 @@ class Report:
 def _validate(cfg: ExperimentConfig) -> None:
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind: {cfg.kind}")
+    fields = KINDS[cfg.kind].fields
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     if cfg.master_seed < 0 or cfg.master_seed >= 2 ** 64:
         raise ConfigError("master_seed must be a 64-bit unsigned integer")
     if cfg.rule not in RULES:
         raise ConfigError(f"unknown perceptron rule: {cfg.rule}")
-    tail_kinds = ("matrix_tail", "rademacher_tail", "perceptron_tail")
-    if cfg.kind in tail_kinds and not cfg.thresholds:
+    if cfg.measure not in MEASURES:
+        raise ConfigError(f"unknown profile measure: {cfg.measure}")
+    if "thresholds" in fields and not cfg.thresholds:
         raise ConfigError(f"{cfg.kind} requires at least one threshold")
     if not all(0 < t < math.inf for t in cfg.thresholds):
         raise ConfigError("thresholds must be finite and positive")
-    sigma_kinds = ("matrix_tail", "shadow_size", "simplex_pivots",
-                   "perceptron_tail", "submatrix_lemma", "smoothed_profile")
-    if cfg.kind in sigma_kinds:
+    if "sigma_grid" in fields:
         if not cfg.sigma_grid:
             raise ConfigError(f"{cfg.kind} requires a sigma grid")
         if cfg.kind != "smoothed_profile" and any(s <= 0 for s in cfg.sigma_grid):
@@ -117,10 +117,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError("sigma values must be finite and nonnegative")
     if cfg.d < 1:
         raise ConfigError("d must be at least 1")
-    needs_n = ("shadow_size", "simplex_pivots", "perceptron_tail", "submatrix_lemma")
     # a profile center file sets its own n
-    builtin_profile = cfg.kind == "smoothed_profile" and cfg.center_source in BUILTIN_CENTERS
-    if (cfg.kind in needs_n or builtin_profile) and cfg.n < 1:
+    file_profile = cfg.kind == "smoothed_profile" and cfg.center_source not in BUILTIN_CENTERS
+    if "n" in fields and not file_profile and cfg.n < 1:
         raise ConfigError("n must be at least 1")
 
 
@@ -260,18 +259,18 @@ def _trial_simplex_pivots(args):
         "status": result.status,
         "oracle_status": oracle.status,
         "agree": bool(agree),
-        "pivots": result.trace.pivot_count,
+        "pivots": result.pivot_count,
         "hull_count": None,
         "within_hull": None,
     }
-    if result.status == "optimal" and result.start_objective is not None:
+    if result.status == "optimal":
         try:
             poly = shadow_polygon(rows, result.start_objective, z)
         except (UnboundedShadowError, InvalidInputError):
             poly = None
         if poly is not None:
             rec["hull_count"] = int(poly.vertex_count)
-            rec["within_hull"] = bool(result.trace.pivot_count <= poly.vertex_count)
+            rec["within_hull"] = bool(result.pivot_count <= poly.vertex_count)
     return rec
 
 
@@ -298,7 +297,7 @@ def _trial_profile(args):
         z = np.ones(d) / math.sqrt(d)
         lp = LinearProgram(pert, np.ones(n), z)
         result = solve(lp)
-        return {"measure": result.trace.pivot_count, "status": result.status}
+        return {"measure": result.pivot_count, "status": result.status}
     # perceptron_iterations
     norms = np.linalg.norm(pert, axis=1)
     if np.any(norms == 0.0):
@@ -527,9 +526,12 @@ def _sigma_groups(cfg: ExperimentConfig, payload) -> list:
     return [({"sigma": sigma}, payload, cfg.trials) for sigma in cfg.sigma_grid]
 
 
-def _regime_notes(cfg: ExperimentConfig, centers) -> list:
-    return [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
-            for m in regime_notes(centers, sigma)]
+def _prepare_points(cfg: ExperimentConfig):
+    """The kinds that perturb n point centers: one group per sigma."""
+    centers = point_centers(cfg)
+    notes = [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
+             for m in regime_notes(centers, sigma)]
+    return _sigma_groups(cfg, centers), notes
 
 
 def _prepare_matrix_tail(cfg: ExperimentConfig):
@@ -550,23 +552,15 @@ def _prepare_rademacher(cfg: ExperimentConfig):
 
 
 def _prepare_shadow_size(cfg: ExperimentConfig):
-    centers = point_centers(cfg)
     for sigma in cfg.sigma_grid:
         shadow_size_bound(cfg.n, cfg.d, sigma)  # out-of-regime guard
-    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
-
-
-def _prepare_simplex_pivots(cfg: ExperimentConfig):
-    centers = point_centers(cfg)
-    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
+    return _prepare_points(cfg)
 
 
 def _prepare_perceptron_tail(cfg: ExperimentConfig):
     for sigma in cfg.sigma_grid:
-        if not (sigma ** 2 < 1.0 / (2.0 * cfg.d)):
-            raise OutOfRegimeError("perceptron tail requires sigma^2 < 1/(2d)")
-    centers = point_centers(cfg)
-    return _sigma_groups(cfg, centers), _regime_notes(cfg, centers)
+        blum_dunagan_tail(cfg.n, cfg.d, sigma, cfg.thresholds[0])  # out-of-regime guard
+    return _prepare_points(cfg)
 
 
 def _prepare_submatrix(cfg: ExperimentConfig):
@@ -576,9 +570,9 @@ def _prepare_submatrix(cfg: ExperimentConfig):
     for sigma in cfg.sigma_grid:
         if sigma ** 2 > variance_regime_limit(cfg.n, cfg.d) * (1 + 1e-12):
             raise OutOfRegimeError("submatrix lemma requires sigma^2 <= 1/(9 d log n)")
-    centers = point_centers(cfg)
-    notes = ["the stated inequality direction is evaluated literally; both sides reported"]
-    return _sigma_groups(cfg, centers), notes + _regime_notes(cfg, centers)
+    groups, notes = _prepare_points(cfg)
+    return groups, ["the stated inequality direction is evaluated literally; "
+                    "both sides reported"] + notes
 
 
 def profile_center_set(cfg: ExperimentConfig) -> list:
@@ -602,8 +596,6 @@ def _prepare_profile(cfg: ExperimentConfig):
     At sigma = 0 the estimate collapses to the deterministic worst case over
     the center set; a single center gives the plain average-case estimate.
     """
-    if cfg.measure not in MEASURES:
-        raise ConfigError(f"unknown profile measure: {cfg.measure}")
     centers = profile_center_set(cfg)
     groups = [({"sigma": sigma, "center_id": center_id}, data, cfg.trials)
               for sigma in cfg.sigma_grid for center_id, data in centers]
@@ -615,6 +607,8 @@ def _prepare_profile(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class Kind:
+    command: str           # CLI subcommand
+    fields: tuple          # ExperimentConfig fields the command sets, one flag each
     block: Callable        # block worker, see above
     key: str               # name of the record list in a per-trial entry
     prepare: Callable      # cfg -> (groups, notes), raising on a failed gate
@@ -622,20 +616,28 @@ class Kind:
     block_trials: int = LOOP_BLOCK_TRIALS
 
 
+_SHARED_FIELDS = ("d", "trials", "master_seed")
+_POINT_FIELDS = _SHARED_FIELDS + ("n", "sigma_grid", "center_source")
+
 KINDS = {
-    "matrix_tail": Kind(_block_matrix_tail, "values", _prepare_matrix_tail,
+    "matrix_tail": Kind("tail-matrix",
+                        _SHARED_FIELDS + ("sigma_grid", "thresholds", "center_source"),
+                        _block_matrix_tail, "values", _prepare_matrix_tail,
                         aggregate_matrix_tail, BLOCK_TRIALS),
-    "rademacher_tail": Kind(_block_rademacher, "values", _prepare_rademacher,
+    "rademacher_tail": Kind("tail-rademacher", _SHARED_FIELDS + ("thresholds", "exhaustive"),
+                            _block_rademacher, "values", _prepare_rademacher,
                             aggregate_rademacher_tail, BLOCK_TRIALS),
-    "shadow_size": Kind(_block_shadow_size, "counts", _prepare_shadow_size,
-                        aggregate_shadow_size),
-    "simplex_pivots": Kind(_block_simplex_pivots, "records", _prepare_simplex_pivots,
-                           aggregate_simplex_pivots),
-    "perceptron_tail": Kind(_block_perceptron_tail, "records", _prepare_perceptron_tail,
+    "shadow_size": Kind("shadow-size", _POINT_FIELDS, _block_shadow_size, "counts",
+                        _prepare_shadow_size, aggregate_shadow_size),
+    "simplex_pivots": Kind("simplex-pivots", _POINT_FIELDS, _block_simplex_pivots, "records",
+                           _prepare_points, aggregate_simplex_pivots),
+    "perceptron_tail": Kind("tail-perceptron", _POINT_FIELDS + ("thresholds", "rule"),
+                            _block_perceptron_tail, "records", _prepare_perceptron_tail,
                             aggregate_perceptron_tail),
-    "submatrix_lemma": Kind(_block_submatrix, "sums", _prepare_submatrix,
-                            aggregate_submatrix, BLOCK_TRIALS),
-    "smoothed_profile": Kind(_block_profile, "records", _prepare_profile, aggregate_profile),
+    "submatrix_lemma": Kind("submatrix-lemma", _POINT_FIELDS, _block_submatrix, "sums",
+                            _prepare_submatrix, aggregate_submatrix, BLOCK_TRIALS),
+    "smoothed_profile": Kind("smoothed-profile", _POINT_FIELDS + ("measure",), _block_profile,
+                             "records", _prepare_profile, aggregate_profile),
 }
 
 

@@ -13,7 +13,8 @@ it is a brute-force scan for the first feasible basis in canonical order,
 with t = sum of that basis's constraint normals (which certifies optimality
 of the start vertex for t), scanned in batched chunks by polytope.feasible_bases.
 The pivot walk does not use that scan, so it stays independent of the oracle.
-Reported step counts are Phase II pivots only.
+Reported step counts are Phase II pivots only. Every outcome, Phase I
+failures included, is one PivotTrace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStartError, PhaseOneError
+from .errors import InvalidStartError
 from .polytope import (
     LinearProgram,
     PolytopeVertex,
@@ -41,14 +42,23 @@ PIVOT_TIE_TOL = 1e-9
 class PivotTrace:
     visited: list                 # PolytopeVertex sequence
     pivot_count: int
-    outcome: str                  # "optimal" | "unbounded" | "phase1_failed"
+    status: str                   # "optimal" | "unbounded" | "infeasible" | "phase1_failed"
     lambda_breakpoints: list = field(default_factory=list)
     degenerate: bool = False      # a pivot tie was broken lexicographically
     ray: np.ndarray | None = None
+    start_objective: np.ndarray | None = None   # t of the walk; None without a start vertex
+
+    @property
+    def vertex(self):
+        return self.visited[-1] if self.visited else None
+
+    def objective_value(self, lp: LinearProgram) -> float | None:
+        v = self.vertex
+        return None if v is None else v.objective_value(lp.z)
 
     def to_json_dict(self) -> dict:
         return {
-            "status": self.outcome,
+            "status": self.status,
             "pivot_count": self.pivot_count,
             "lambda_breakpoints": [float(v) for v in self.lambda_breakpoints],
             "visited_tight_sets": [list(v.tight_set) for v in self.visited],
@@ -81,7 +91,7 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
     x = np.asarray(start.point, dtype=float).copy()
     lam = 0.0
     trace = PivotTrace(visited=[PolytopeVertex(point=x.copy(), tight_set=tuple(basis))],
-                       pivot_count=0, outcome="optimal")
+                       pivot_count=0, status="optimal", start_objective=t)
     max_pivots = math.comb(lp.n, lp.d) + 1
 
     for _ in range(max_pivots):
@@ -89,7 +99,6 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
         mu_t = np.linalg.solve(sub.T, t)
         mu_z = np.linalg.solve(sub.T, z)
         if np.min(mu_z) >= -PIVOT_TIE_TOL:
-            trace.outcome = "optimal"
             return trace
         # lambda at which each decreasing multiplier reaches zero
         slope = mu_z - mu_t
@@ -98,7 +107,6 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
         roots[dec] = mu_t[dec] / (mu_t[dec] - mu_z[dec])
         lam_star = float(np.min(roots))
         if lam_star > 1.0:
-            trace.outcome = "optimal"
             return trace
         lam_star = min(max(lam_star, lam), 1.0)
         leaving_ties = [p for p in range(lp.d)
@@ -120,7 +128,7 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
                 continue
             candidates.append((max(slack[j], 0.0) / advance[j], j))
         if not candidates:
-            trace.outcome = "unbounded"
+            trace.status = "unbounded"
             trace.ray = w
             trace.lambda_breakpoints.append(lam_star)
             return trace
@@ -145,46 +153,24 @@ def find_initial_vertex(lp: LinearProgram):
     """First feasible basis in canonical order, plus a certifying objective.
 
     Returns (vertex, t) with t = sum of the tight-set normals (so the vertex
-    is optimal for t with multipliers all 1), or None when the polytope is
-    infeasible. A feasible polytope with no basic solution raises
-    PhaseOneError.
+    is optimal for t with multipliers all 1), or None when no basis is
+    feasible.
     """
     for tight, points in feasible_bases(lp):
         if len(tight):
             return (PolytopeVertex(point=points[0], tight_set=tuple(tight[0].tolist())),
                     lp.A[tight[0]].sum(axis=0))
-    if is_feasible(lp):
-        raise PhaseOneError("feasible polytope has no basic feasible solution")
     return None
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: str               # "optimal" | "unbounded" | "infeasible" | "phase1_failed"
-    trace: PivotTrace
-    start_objective: np.ndarray | None = None
-
-    @property
-    def vertex(self):
-        return self.trace.visited[-1] if self.trace.visited else None
-
-    def objective_value(self, lp: LinearProgram) -> float | None:
-        v = self.vertex
-        return None if v is None else v.objective_value(lp.z)
-
-
-def solve(lp: LinearProgram) -> SolveResult:
+def solve(lp: LinearProgram) -> PivotTrace:
     """Two-phase driver: canonical-scan Phase I, shadow pivot walk Phase II."""
-    try:
-        found = find_initial_vertex(lp)
-    except PhaseOneError:
-        # feasible but no basic solution: still detect an improving ray
-        ray = improving_ray(lp.A, lp.z)
-        status = "phase1_failed" if ray is None else "unbounded"
-        return SolveResult(status, PivotTrace(visited=[], pivot_count=0, outcome=status, ray=ray))
-    if found is None:
-        return SolveResult("infeasible",
-                           PivotTrace(visited=[], pivot_count=0, outcome="phase1_failed"))
-    start, t = found
-    trace = shadow_pivot_walk(lp, start, t)
-    return SolveResult(trace.outcome, trace, start_objective=t)
+    found = find_initial_vertex(lp)
+    if found is not None:
+        return shadow_pivot_walk(lp, *found)
+    if not is_feasible(lp):
+        return PivotTrace(visited=[], pivot_count=0, status="infeasible")
+    # feasible but no basic solution: still detect an improving ray
+    ray = improving_ray(lp.A, lp.z)
+    return PivotTrace(visited=[], pivot_count=0,
+                      status="phase1_failed" if ray is None else "unbounded", ray=ray)

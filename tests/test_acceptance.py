@@ -174,11 +174,11 @@ def test_06_simplex_vs_oracle():
         assert res.status == oracle.status == "optimal"
         assert abs(res.objective_value(lp) - oracle.value) <= 1e-6
         poly = shadow_polygon(lp.A, res.start_objective, lp.z)
-        for vertex in res.trace.visited:
+        for vertex in res.visited:
             proj = vertex.point @ poly.basis
             dist = np.min(np.linalg.norm(poly.hull_points - proj, axis=1))
             assert dist <= 1e-7
-        assert res.trace.pivot_count <= poly.vertex_count
+        assert res.pivot_count <= poly.vertex_count
 
 
 # --------------------------------------------------------------------------

@@ -241,6 +241,36 @@ class TestOptionDeclarations:
         assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text()
 
 
+# flags whose value the command's experiment never reads
+DROPPED_FLAGS = [
+    ("tail-matrix", "--n", "4"),
+    ("tail-rademacher", "--n", "4"),
+    ("tail-rademacher", "--sigma", "0.5"),
+    ("tail-rademacher", "--center", "ones"),
+    ("shadow-size", "--threshold", "2"),
+    ("simplex-pivots", "--threshold", "2"),
+    ("submatrix-lemma", "--threshold", "2"),
+    ("smoothed-profile", "--threshold", "2"),
+]
+
+
+class TestDroppedFlags:
+    @pytest.mark.parametrize("command, flag, value", DROPPED_FLAGS)
+    def test_flag_is_rejected(self, tmp_path, capsys, no_trials, command, flag, value):
+        out = tmp_path / "r.csv"
+        assert run([command, flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", DROPPED_FLAGS)
+    def test_config_key_is_rejected(self, tmp_path, capsys, no_trials, command, flag, value):
+        out = tmp_path / "r.csv"
+        text = f"{flag[2:]} = {value}\n"
+        assert run([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key for {command}: {flag[2:]}\n"
+        assert not out.exists()
+
+
 class TestModuleEntryPoint:
     """python -m smoothlab.cli reads its flags, and the config file, from sys.argv."""
 
@@ -274,6 +304,19 @@ class TestFixtureCommands:
         assert doc["status"] == "optimal"
         assert doc["value"] == pytest.approx(2.0)
         assert doc["x"] == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("text, status", [
+        ("2 1\n1 -1\n-1 -2\n1\n", "infeasible"),
+        ("1 2\n1 0 1\n0 1\n", "unbounded"),
+        ("1 2\n1 0 1\n1 0\n", "phase1_failed"),
+    ], ids=["infeasible", "unbounded-without-vertices", "no-vertex-no-ray"])
+    def test_solve_lp_without_a_start_vertex(self, tmp_path, capsys, text, status):
+        lp = tmp_path / "model.lp"
+        lp.write_text(text)
+        assert run(["solve-lp", str(lp)]) == 0
+        assert capsys.readouterr().out == (
+            '{"lambda_breakpoints": [], "pivot_count": 0, '
+            f'"status": "{status}", "visited_tight_sets": []}}\n')
 
     def test_solve_lp_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.lp"

@@ -9,7 +9,6 @@ from smoothlab.errors import (
     DegeneratePlaneError,
     InvalidInputError,
     OutOfRegimeError,
-    PhaseOneError,
     SizeLimitError,
     UnboundedShadowError,
 )
@@ -32,7 +31,7 @@ from smoothlab.polytope import (
     shadow_polygon,
     shadow_size_bound,
 )
-from smoothlab.simplex import find_initial_vertex
+from smoothlab.simplex import find_initial_vertex, solve
 
 BOX2 = LinearProgram(
     np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
@@ -162,11 +161,12 @@ def assert_scan_matches_loop(lp):
     assert messages == ref_messages
     ref_start = loop_initial(lp)
     if ref_start is None:
+        assert find_initial_vertex(lp) is None
+        status = solve(lp).status
         if is_feasible(lp):
-            with pytest.raises(PhaseOneError):
-                find_initial_vertex(lp)
+            assert status in ("phase1_failed", "unbounded")
         else:
-            assert find_initial_vertex(lp) is None
+            assert status == "infeasible"
         return None
     start, t = find_initial_vertex(lp)
     assert start.tight_set == ref_start[0].tight_set

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from smoothlab.errors import InvalidStartError
+from smoothlab.errors import InvalidInputError, InvalidStartError
 from smoothlab.polytope import LinearProgram, PolytopeVertex, brute_force_optimum
 from smoothlab.simplex import find_initial_vertex, shadow_pivot_walk, solve
 
@@ -27,7 +30,7 @@ class TestWalkHandTrace:
         # two pivots through (1,-1), both breakpoints at lambda = 1/2
         start = PolytopeVertex(point=np.array([-1.0, -1.0]), tight_set=(2, 3))
         trace = shadow_pivot_walk(BOX2, start, np.array([-1.0, -1.0]))
-        assert trace.outcome == "optimal"
+        assert trace.status == "optimal"
         assert trace.pivot_count == 2
         assert [v.tight_set for v in trace.visited] == [(2, 3), (0, 3), (0, 1)]
         assert trace.lambda_breakpoints == pytest.approx([0.5, 0.5])
@@ -37,7 +40,7 @@ class TestWalkHandTrace:
     def test_zero_pivots_when_start_is_optimal(self):
         start = PolytopeVertex(point=np.array([1.0, 1.0]), tight_set=(0, 1))
         trace = shadow_pivot_walk(BOX2, start, np.array([1.0, 1.0]))
-        assert trace.outcome == "optimal"
+        assert trace.status == "optimal"
         assert trace.pivot_count == 0
 
     def test_unbounded_walk(self):
@@ -45,7 +48,7 @@ class TestWalkHandTrace:
                            np.array([1.0, 1.0]))
         start = PolytopeVertex(point=np.array([-1.0, -1.0]), tight_set=(0, 1))
         trace = shadow_pivot_walk(lp, start, np.array([-1.0, -1.0]))
-        assert trace.outcome == "unbounded"
+        assert trace.status == "unbounded"
         assert trace.ray @ lp.z > 0
 
     def test_trace_json_shape(self):
@@ -117,8 +120,35 @@ class TestSolve:
             assert res.status == oracle.status == "optimal"
             assert res.objective_value(lp) == pytest.approx(oracle.value, abs=1e-6)
             # objective never decreases and breakpoints never retreat
-            values = [v.objective_value(lp.z) for v in res.trace.visited]
+            values = [v.objective_value(lp.z) for v in res.visited]
             assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-            bps = res.trace.lambda_breakpoints
+            bps = res.lambda_breakpoints
             assert all(b >= a - 1e-12 for a, b in zip(bps, bps[1:]))
-            assert res.trace.pivot_count == len(res.trace.visited) - 1
+            assert res.pivot_count == len(res.visited) - 1
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs of every outcome: optimal, unbounded, infeasible, no vertex."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 5))
+
+    def entries(shape, lo, hi):
+        return draw(arrays(np.float64, shape, elements=st.floats(lo, hi, width=16)))
+    return LinearProgram(entries((n, d), -2, 2), entries(n, -1, 2), entries(d, -1, 1))
+
+
+class TestSolveMatchesOracleProperty:
+    @pytest.mark.filterwarnings("ignore::smoothlab.polytope.DegeneracyWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_lps())
+    def test_status_and_objective(self, lp):
+        res = solve(lp)
+        try:
+            oracle = brute_force_optimum(lp)
+        except InvalidInputError:   # feasible, no vertex, no improving ray
+            assert res.status == "phase1_failed"
+            return
+        assert res.status == oracle.status
+        if oracle.status == "optimal":
+            assert res.objective_value(lp) == pytest.approx(oracle.value, abs=1e-6)
