@@ -303,7 +303,7 @@ def _trial_profile(args):
     if np.any(norms == 0.0):
         return {"measure": 0, "status": "degenerate_zero_row"}
     inst = PerceptronInstance(pert)
-    run = run_perceptron(inst, iteration_cap=PROFILE_ITERATION_CAP, rule=cfg.rule)
+    run = run_perceptron(inst, iteration_cap=PROFILE_ITERATION_CAP)
     return {"measure": run.iterations, "status": run.status}
 
 

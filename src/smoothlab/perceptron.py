@@ -310,7 +310,7 @@ def blum_dunagan_tail(n: int, d: int, sigma: float, t: float) -> float:
     if not (t > 0):
         raise InvalidInputError("t must be positive")
     sigma = float(sigma)
-    if not (0 < sigma ** 2 < 1.0 / (2.0 * d)):
+    if not (0 < sigma < 1 and sigma ** 2 < 1.0 / (2.0 * d)):   # sigma ** 2 under/overflows
         raise OutOfRegimeError("bound requires sigma^2 < 1/(2d)")
     ratio = sigma * t / d ** 1.5
     return (n * d ** 1.5 / (sigma * t)) * math.log(ratio)

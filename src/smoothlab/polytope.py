@@ -2,9 +2,9 @@
 
 The polytope here is always the inequality form {x : x^T a_i <= b_i}. Vertex
 enumeration over all d-subsets of constraints is the correctness oracle for
-the pivoting code, so it stays exhaustive and exact at desk scale. It scans the
-d-subsets in canonical order in batched chunks (feasible_bases), and the tests
-cross-check that scan against a one-basis-at-a-time loop.
+the pivoting code, so it stays exhaustive and exact at desk scale. feasible_bases scans
+the d-subsets in canonical order in batched chunks, feasibility before rank, and the
+tests cross-check that scan against a one-basis-at-a-time loop.
 
 Rays and feasibility come from one SVD of A: {w : Aw <= 0} is null(A) plus a
 pointed cone whose extreme rays are null vectors of (r-1)-row subsets in the
@@ -145,16 +145,25 @@ def _independent(s: np.ndarray):
 def feasible_bases(lp: LinearProgram):
     """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
 
-    Per chunk: one batched SVD rejects singular bases, one batched solve
-    gives the basic solutions, one mask keeps those with A x - b <= FEAS_TOL.
+    Per chunk: one batched solve, a mask keeping A x - b <= FEAS_TOL, and one batched
+    SVD rank test of the feasible bases only; solve treats each basis on its own. A
+    chunk with an exactly singular basis fails that solve and is rank-tested first.
     """
     scaled = _unit_peak_rows(lp.A)
     for idx in basis_chunks(lp.n, lp.d):
-        idx = idx[_independent(np.linalg.svd(scaled[idx], compute_uv=False))]
-        x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
+        ranked = False
+        try:
+            x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            ranked = True
+            idx = idx[_independent(np.linalg.svd(scaled[idx], compute_uv=False))]
+            x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
         # stacked matvec: the same rounding as lp.A @ x on each point
-        feasible = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
-        yield idx[feasible], x[feasible]
+        with np.errstate(over="ignore", invalid="ignore"):   # near-singular bases: huge x
+            keep = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
+        if not ranked:
+            keep[keep] = _independent(np.linalg.svd(scaled[idx[keep]], compute_uv=False))
+        yield idx[keep], x[keep]
 
 
 def enumerate_vertices(lp: LinearProgram) -> list:

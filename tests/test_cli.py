@@ -87,6 +87,16 @@ class TestExitCodes:
         assert run(["shadow-size", "--n", "8", "--d", "2", "--sigma", "0.1",
                     "--trials", "2", "--center", "box", "--out", str(out)]) == 2
 
+    def test_sigma_squared_out_of_float_range(self, tmp_path):
+        # sigma ** 2 underflows to 0 at 1e-200, yet sigma^2 < 1/(2d) holds; 1e200 is out
+        out = tmp_path / "r.csv"
+        argv = ["tail-perceptron", "--n", "6", "--d", "2", "--threshold", "2", "--trials", "3",
+                "--center", "ones", "--out", str(out)]
+        assert run(argv + ["--sigma", "1e-200"]) == 0
+        header, row = out.read_text().splitlines()[1:]   # after the schema line
+        assert dict(zip(header.split(","), row.split(",")))["vacuous"] == "true"
+        assert run(argv + ["--sigma", "1e200"]) == 2
+
     def test_size_limit_is_3(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(["tail-rademacher", "--d", "5", "--threshold", "2",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -257,6 +258,14 @@ class TestSmoothedProfile:
         report = run_experiment(cfg)
         assert all(r["mean_measure"] >= 0 for r in report.rows)
         assert verify_replay(roundtrip(report))
+
+    def test_perceptron_measure_ignores_rule(self):
+        # smoothed-profile has no --rule flag; on this draw the two rules take different
+        # step counts on the "ones" trials, so a rule that reached the profile would show
+        cfg = ExperimentConfig(kind="smoothed_profile", n=10, d=3, sigma_grid=(0.3,),
+                               trials=4, master_seed=2, measure="perceptron_iterations")
+        assert (run_experiment(dataclasses.replace(cfg, rule="most_violated")).rows
+                == run_experiment(cfg).rows)
 
 
 class TestSerialization:

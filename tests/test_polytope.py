@@ -4,6 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smoothlab.errors import (
     DegeneratePlaneError,
@@ -276,6 +279,71 @@ class TestScanMatchesLoop:
             start = assert_scan_matches_loop(lp)
             rank = list(combinations(range(lp.n), lp.d)).index(start.tight_set)
             assert rank >= BASIS_CHUNK
+
+
+class TestRankAfterFeasibility:
+    # rows 0 and 1 meet at the feasible x = (1, 0), with condition number ~1e13
+    @pytest.mark.parametrize("others, singular_chunk", [
+        ([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], True),     # (0, 2) fails the chunk's solve
+        ([[-1.0, 0.25], [0.25, 1.0], [0.25, -1.0]], False),
+    ])
+    def test_feasible_basis_fails_rank_test(self, others, singular_chunk):
+        lp = LinearProgram(np.vstack([[[1.0, 0.0], [1.0, 1e-13]], others]), np.ones(5),
+                           np.array([1.0, 0.5]))
+        bases = np.array(list(combinations(range(lp.n), lp.d)))
+        assert np.any(np.linalg.det(lp.A[bases]) == 0.0) == singular_chunk
+        x = np.linalg.solve(lp.A[[0, 1]], lp.b[[0, 1]])
+        assert np.array_equal(x, [1.0, 0.0]) and np.all(lp.A @ x - lp.b <= FEAS_TOL)
+        assert np.linalg.cond(lp.A[[0, 1]]) > 1e12
+        assert (0, 1) not in [v.tight_set for v in _quiet_vertices(lp)]
+        assert find_initial_vertex(lp)[0].tight_set != (0, 1)
+        assert_scan_matches_loop(lp)
+
+    def test_overflowing_basic_solution_is_quiet(self):
+        # basis (0, 1) solves to x = (1, 1e300), where row 2's slack overflows
+        lp = LinearProgram(np.array([[1.0, 0.0], [1.0, 1e-300], [0.5, 1e10], [-1.0, 0.25],
+                                     [0.25, -1.0]]), np.array([1.0, 2.0, 1.0, 1.0, 1.0]),
+                           np.ones(2))
+        assert is_feasible(lp)
+        assert_scan_matches_loop(lp)
+
+
+@st.composite
+def near_singular_lps(draw):
+    """Gaussian LPs plus exact or scaled copies of some rows, or 1e-13 nudges of them.
+
+    A copy makes bases exactly singular, which fails a chunk's batched solve.
+    A nudged row makes bases that solve, may be feasible, and fail the rank test.
+    """
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(d, d + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = rng.standard_normal((k, d)), rng.uniform(-0.5, 1.0, k)
+    rows, rhs = list(a), list(b)
+    scales = [1.0, 2.0, -1.0, 3.0] if draw(st.booleans()) else [None]
+    edits = st.tuples(st.sampled_from(scales), st.integers(0, k - 1), st.integers(0, d - 1))
+    for scale, i, j in draw(st.lists(edits, min_size=1, max_size=4)):
+        if scale is None:
+            rows.append(a[i] + 1e-13 * np.eye(d)[j])
+            rhs.append(b[i])
+        else:
+            rows.append(scale * a[i])
+            rhs.append(scale * b[i])
+    z = draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0, width=16)))
+    return LinearProgram(np.array(rows), np.array(rhs), z)
+
+
+class TestScanProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_singular_lps())
+    def test_scan_matches_loop(self, lp):
+        assert_scan_matches_loop(lp)
+        has_vertex = loop_initial(lp) is not None
+        s = np.linalg.svd(lp.A, compute_uv=False)
+        if s[-1] > 1e-6 * s[0]:   # full column rank: nonempty iff some basis is feasible
+            assert is_feasible(lp) == has_vertex
+        else:
+            assert is_feasible(lp) or not has_vertex
 
 
 # --------------------------------------------------------------------------
