@@ -37,5 +37,9 @@ class InvalidStartError(InvalidInputError):
     """Pivot walk started from a non-vertex or a vertex not optimal for t."""
 
 
+class StreamMismatchError(SmoothlabError):
+    """Bulk seed-stream derivation disagrees with numpy's own seeding."""
+
+
 class InfeasibleMarginError(SmoothlabError):
     """Margin is nonpositive, so the iteration bound is undefined."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
@@ -33,6 +32,7 @@ from .perceptron import (
 )
 from .perturb import (
     SeedSpec,
+    block_streams,
     regime_notes,
     smoothed_input,
     variance_regime_limit,
@@ -198,8 +198,8 @@ LOOP_BLOCK_TRIALS = 16
 
 def _block_matrix_tail(args):
     cfg, center, sigma, first, count = args
-    g = np.stack([SeedSpec(cfg.master_seed, s).rng().standard_normal(center.shape)
-                  for s in range(first, first + count)])
+    g = np.stack([rng.standard_normal(center.shape)
+                  for rng in block_streams(cfg.master_seed, first, count)])
     return inverse_norm(center + sigma * g).tolist()
 
 
@@ -209,8 +209,8 @@ def _block_rademacher(args):
     if cfg.exhaustive:  # "stream" s is the sign matrix whose entry k is bit k of s
         bits = (np.arange(first, first + count)[:, None] >> np.arange(d * d)) & 1
     else:
-        bits = np.stack([SeedSpec(cfg.master_seed, s).rng().integers(0, 2, size=(d, d))
-                         for s in range(first, first + count)])
+        bits = np.stack([rng.integers(0, 2, size=(d, d))
+                         for rng in block_streams(cfg.master_seed, first, count)])
     return inverse_norm((2.0 * bits - 1.0).reshape(count, d, d)).tolist()
 
 
@@ -219,8 +219,8 @@ def _block_submatrix(args):
     tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
     chunks = list(basis_chunks(cfg.n, cfg.d))
     sums = []
-    for s in range(first, first + count):
-        pts = centers + sigma * SeedSpec(cfg.master_seed, s).rng().standard_normal(centers.shape)
+    for rng in block_streams(cfg.master_seed, first, count):
+        pts = centers + sigma * rng.standard_normal(centers.shape)
         # submatrices with columns a_i, i in I, for every d-subset I
         sums.append(sum(int(np.count_nonzero(inverse_norm(pts[idx].transpose(0, 2, 1)) >= tau))
                         for idx in chunks))
@@ -299,8 +299,7 @@ def _trial_profile(args):
         result = solve(lp)
         return {"measure": result.pivot_count, "status": result.status}
     # perceptron_iterations
-    norms = np.linalg.norm(pert, axis=1)
-    if np.any(norms == 0.0):
+    if not np.all(pert.any(axis=1)):
         return {"measure": 0, "status": "degenerate_zero_row"}
     inst = PerceptronInstance(pert)
     run = run_perceptron(inst, iteration_cap=PROFILE_ITERATION_CAP)
@@ -337,6 +336,8 @@ def _map_blocks(worker, blocks, jobs: int) -> list:
     """worker over blocks, in order; one pool of at most one process per block."""
     if jobs == 1 or len(blocks) == 1:
         return [worker(b) for b in blocks]
+    # imported here: a run without a pool does not pay for loading it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
         return list(pool.map(worker, blocks))
 

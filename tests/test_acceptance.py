@@ -22,7 +22,7 @@ from smoothlab.perceptron import (
     wiggle_room,
     wiggle_room_grid,
 )
-from smoothlab.perturb import SeedSpec, gaussian_matrix
+from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import (
     LinearProgram,
     brute_force_optimum,
@@ -31,6 +31,8 @@ from smoothlab.polytope import (
 )
 from smoothlab.reports import load_json_report
 from smoothlab.simplex import solve
+
+from samplers import gaussian_matrix
 
 # --------------------------------------------------------------------------
 # 1. inverse_norm <= sqrt(d)/height on 10,000 mixed Gaussian matrices

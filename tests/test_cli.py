@@ -32,13 +32,18 @@ def no_trials(monkeypatch):
     monkeypatch.setattr(smoothlab.cli, "run_experiment", fail)
 
 
-def run_process(argv, cwd):
-    """python -m smoothlab.cli argv in a fresh interpreter, with this smoothlab."""
+def _python(args, cwd):
+    """python args in a fresh interpreter, with this smoothlab."""
     src = os.path.dirname(os.path.dirname(smoothlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "smoothlab.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_process(argv, cwd):
+    """python -m smoothlab.cli argv in a fresh interpreter."""
+    return _python(["-m", "smoothlab.cli", *argv], cwd)
 
 
 def write_config(tmp_path, text):
@@ -281,6 +286,13 @@ class TestDroppedFlags:
         assert not out.exists()
 
 
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # only a run with --jobs > 1 and several blocks loads concurrent.futures
+    done = _python(["-c", "import smoothlab.cli, sys; "
+                    "print('concurrent.futures' in sys.modules)"], tmp_path)
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 class TestModuleEntryPoint:
     """python -m smoothlab.cli reads its flags, and the config file, from sys.argv."""
 
@@ -349,6 +361,14 @@ class TestFixtureCommands:
         assert doc["status"] == "solved"
         assert doc["margin"] == pytest.approx(1 / math.sqrt(2))
         assert doc["iterations"] <= 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_run_perceptron_rows_whose_squares_underflow(self, tmp_path, capsys):
+        inst = tmp_path / "p.inst"
+        inst.write_text("2 2\n1e-160 1e-160\n2.18e-296 0\n")
+        assert run(["run-perceptron", str(inst), "--cap", "10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "solved" and doc["margin"] > 0.3
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, message", [

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -22,15 +23,11 @@ from smoothlab.experiments import (
     verify_replay,
 )
 from smoothlab.numkit import inverse_norm
-from smoothlab.perturb import (
-    RegimeWarning,
-    SeedSpec,
-    gaussian_matrix,
-    gaussian_points,
-    rademacher_matrix,
-)
+from smoothlab.perturb import RegimeWarning, SeedSpec
 from smoothlab.reports import Report, to_csv, to_json
 from smoothlab.simplex import solve
+
+from samplers import gaussian_matrix, gaussian_points, rademacher_matrix
 
 
 def roundtrip(report, per_trial=True):
@@ -451,7 +448,8 @@ class TestPoolSize:
     @pytest.fixture
     def made(self, monkeypatch):
         made = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+        # _map_blocks imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: _RecordingPool(made, max_workers))
         return made
 
@@ -497,6 +495,13 @@ class TestValidation:
                                trials=2, center_source=str(center),
                                measure="perceptron_iterations")
         assert [r["center_id"] for r in run_experiment(cfg).rows] == ["file", "max_over_centers"]
+
+    def test_profile_runs_rows_whose_squares_underflow(self, tmp_path):
+        center = tmp_path / "c.inst"
+        center.write_text("2 2\n2.18e-296 0\n1 1\n")
+        cfg = ExperimentConfig(kind="smoothed_profile", d=2, sigma_grid=(0.0,), trials=1,
+                               center_source=str(center), measure="perceptron_iterations")
+        assert run_experiment(cfg).per_trial[0]["records"] == [{"measure": 1, "status": "solved"}]
 
     def test_matrix_center_file_of_text(self, tmp_path):
         center = tmp_path / "c.txt"

@@ -13,7 +13,9 @@ from smoothlab.numkit import (
     inverse_norm,
     operator_norm,
 )
-from smoothlab.perturb import SeedSpec, gaussian_points
+from smoothlab.perturb import SeedSpec
+
+from samplers import gaussian_points
 
 
 def power_iteration_norm(m, iters=2000):

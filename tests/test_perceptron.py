@@ -20,10 +20,13 @@ from smoothlab.perceptron import (
     parse_instance,
     run_perceptron,
     wiggle_room,
+    row_norms,
     wiggle_room_grid,
     _certified_infeasible,
 )
-from smoothlab.perturb import SeedSpec, gaussian_points, smoothed_input
+from smoothlab.perturb import SeedSpec, smoothed_input
+
+from samplers import gaussian_points
 
 RULES = ("lowest_index", "most_violated")
 
@@ -62,6 +65,23 @@ class TestParse:
     def test_row_norm_must_be_finite(self, rows):
         with pytest.raises(InvalidInputError, match="norm must be finite"):
             PerceptronInstance(rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_row_whose_squares_underflow_is_accepted(self):
+        inst = PerceptronInstance([[2.18e-296]])
+        assert np.array_equal(inst.normalized(), [[1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_row_normalizes_to_unit_length(self):
+        got = PerceptronInstance([[1e-160, 1e-160]]).normalized()[0]
+        want = 1.0 / math.sqrt(2.0)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    def test_only_all_zero_rows_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="nonzero"):
+            PerceptronInstance([[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(row_norms(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1e-200]])),
+                              [0.0, 5.0, 1e-200])
 
 
 class TestWiggleRoom:

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab.errors import InvalidInputError
+from smoothlab import perturb
+from smoothlab.cli import cli_main
+from smoothlab.errors import InvalidInputError, StreamMismatchError
+from smoothlab.experiments import ExperimentConfig, run_experiment
 from smoothlab.perturb import (
     RegimeWarning,
     SeedSpec,
-    gaussian_matrix,
-    gaussian_points,
-    rademacher_matrix,
+    block_streams,
     regime_notes,
     smoothed_input,
     variance_regime_limit,
 )
+
+from samplers import gaussian_matrix, gaussian_points, rademacher_matrix
 
 
 class TestSeedSpec:
@@ -39,6 +42,79 @@ class TestSeedSpec:
             SeedSpec(0, -1)
         with pytest.raises(InvalidInputError):
             SeedSpec(2 ** 64, 0)
+
+
+DRAWS = {
+    "normal_4x4": lambda rng: rng.standard_normal((4, 4)),
+    "normal_8x3": lambda rng: rng.standard_normal((8, 3)),
+    "signs_3x3": lambda rng: rng.integers(0, 2, size=(3, 3)),
+}
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("master", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize("first", [0, 1023, 2 ** 32 - 3, 2 ** 40],
+                             ids=["0", "1023", "straddles-2^32", "2^40"])
+    def test_bit_identical_to_seedspec(self, master, first):
+        for count in (1, 6, 1025):
+            for draw in DRAWS.values():
+                got = [draw(rng) for rng in block_streams(master, first, count)]
+                want = [draw(SeedSpec(master, s).rng()) for s in range(first, first + count)]
+                assert len(got) == count
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_spawn_keys_past_64_bits(self):
+        first = 2 ** 64 - 2   # two-word keys, then three-word keys
+        got = [rng.standard_normal(3) for rng in block_streams(5, first, 4)]
+        want = [SeedSpec(5, s).rng().standard_normal(3) for s in range(first, first + 4)]
+        assert np.array_equal(got, want)
+
+    def test_validation(self):
+        with pytest.raises(InvalidInputError):
+            next(block_streams(2 ** 64, 0, 1))
+        with pytest.raises(InvalidInputError):
+            next(block_streams(0, -1, 1))
+
+
+class TestSeedingGuard:
+    """A bulk derivation that disagrees with SeedSpec.rng() stops the run."""
+
+    @pytest.fixture
+    def broken_mixing(self, monkeypatch):
+        monkeypatch.setattr(perturb, "_MULT_B", perturb._MULT_B ^ 1)
+
+    def test_block_raises(self, broken_mixing):
+        with pytest.raises(StreamMismatchError):
+            next(block_streams(1, 0, 3))
+
+    def test_checks_each_key_width(self, monkeypatch):
+        # a fault in the two-word keys alone shows at the 2^32 boundary
+        pcg64_states = perturb._pcg64_states
+
+        def two_word_keys_broken(master_seed, streams, width):
+            states = pcg64_states(master_seed, streams, width)
+            return [(st ^ 1, inc) for st, inc in states] if width == 2 else states
+
+        monkeypatch.setattr(perturb, "_pcg64_states", two_word_keys_broken)
+        streams = block_streams(1, 2 ** 32 - 2, 4)
+        next(streams), next(streams)
+        with pytest.raises(StreamMismatchError):
+            next(streams)
+
+    def test_run_experiment_raises(self, broken_mixing):
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=(1.0,),
+                               thresholds=(4.0,), trials=20, master_seed=3)
+        with pytest.raises(StreamMismatchError):
+            run_experiment(cfg)
+
+    def test_cli_exits_1_with_one_line(self, broken_mixing, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli_main(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "4",
+                         "--trials", "20", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
 
 class TestGaussianMatrix:
