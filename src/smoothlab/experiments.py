@@ -30,13 +30,7 @@ from .perceptron import (
     run_perceptron,
     wiggle_room,
 )
-from .perturb import (
-    SeedSpec,
-    block_streams,
-    regime_notes,
-    smoothed_input,
-    variance_regime_limit,
-)
+from .perturb import block_streams, regime_notes, smoothed_input, variance_regime_limit
 from .polytope import (
     DegeneracyWarning,
     LinearProgram,
@@ -185,10 +179,10 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # block workers (top-level so process pools can pickle them)
 #
-# A block worker takes (cfg, payload, sigma, first stream, count) and returns
-# the records of streams first .. first + count - 1 in stream order. Every
-# trial draws from its own stream, so how trials fall into blocks, and
-# blocks onto processes, never changes a record.
+# A block worker takes (cfg, payload, sigma, first trial, count) and returns
+# the records of trials first .. first + count - 1 in order. Every trial
+# draws from its own streams, so how trials fall into blocks, and blocks
+# onto processes, never changes a record.
 
 BLOCK_TRIALS = 1024      # trials per block of the kinds batched into one SVD
 # Loop kinds spend milliseconds per trial, so small blocks cost nothing and
@@ -228,10 +222,9 @@ def _block_submatrix(args):
 
 
 def _trial_shadow_size(args):
-    cfg, centers, sigma, stream = args
-    pts = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
-        centers.shape)
-    plane_rng = SeedSpec(cfg.master_seed, 2 * stream + 1).rng()
+    cfg, centers, sigma, streams, _ = args
+    pts = centers + sigma * next(streams).standard_normal(centers.shape)
+    plane_rng = next(streams)
     t = plane_rng.standard_normal(cfg.d)
     z = plane_rng.standard_normal(cfg.d)
     try:
@@ -242,10 +235,9 @@ def _trial_shadow_size(args):
 
 
 def _trial_simplex_pivots(args):
-    cfg, centers, sigma, stream = args
-    rows = centers + sigma * SeedSpec(cfg.master_seed, 2 * stream).rng().standard_normal(
-        centers.shape)
-    z = SeedSpec(cfg.master_seed, 2 * stream + 1).rng().standard_normal(cfg.d)
+    cfg, centers, sigma, streams, _ = args
+    rows = centers + sigma * next(streams).standard_normal(centers.shape)
+    z = next(streams).standard_normal(cfg.d)
     z = z / np.linalg.norm(z)
     lp = LinearProgram(rows, np.ones(cfg.n), z)
     result = solve(lp)
@@ -275,8 +267,8 @@ def _trial_simplex_pivots(args):
 
 
 def _trial_perceptron_tail(args):
-    cfg, centers, sigma, stream = args
-    pts = centers + sigma * SeedSpec(cfg.master_seed, stream).rng().standard_normal(centers.shape)
+    cfg, centers, sigma, streams, _ = args
+    pts = centers + sigma * next(streams).standard_normal(centers.shape)
     inst = PerceptronInstance(pts)
     nu = wiggle_room(inst)
     if nu <= 0.0:
@@ -289,9 +281,9 @@ def _trial_perceptron_tail(args):
 
 
 def _trial_profile(args):
-    cfg, center, sigma, stream = args
-    pert = smoothed_input(center.ravel(), sigma,
-                          SeedSpec(cfg.master_seed, stream)).reshape(center.shape)
+    cfg, center, sigma, streams, _ = args
+    # the stream is taken even at sigma = 0, where nothing is drawn from it
+    pert = smoothed_input(center.ravel(), sigma, next(streams)).reshape(center.shape)
     if cfg.measure == "simplex_pivots":
         n, d = center.shape
         z = np.ones(d) / math.sqrt(d)
@@ -306,22 +298,28 @@ def _trial_profile(args):
     return {"measure": run.iterations, "status": run.status}
 
 
-def _each_trial(trial, args):
+def _each_trial(trial, args, k: int = 1):
+    """trial over the block, trial s taking streams k*s .. k*s + k - 1 in order.
+
+    A trial's tuple ends with its first stream index, which bench/tracer.py
+    records as the stream of the trial's spans.
+    """
     cfg, payload, sigma, first, count = args
+    streams = block_streams(cfg.master_seed, k * first, k * count)
     # coincident vertices at small sigma are expected; other warnings escape
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneracyWarning)
-        return [trial((cfg, payload, sigma, s)) for s in range(first, first + count)]
+        return [trial((cfg, payload, sigma, streams, k * s)) for s in range(first, first + count)]
 
 
 # the trial functions are looked up at call time, so a wrapper bound to the
 # module name (bench/tracer.py) sees every trial
 def _block_shadow_size(args):
-    return _each_trial(_trial_shadow_size, args)
+    return _each_trial(_trial_shadow_size, args, 2)   # points, then the plane
 
 
 def _block_simplex_pivots(args):
-    return _each_trial(_trial_simplex_pivots, args)
+    return _each_trial(_trial_simplex_pivots, args, 2)   # rows, then the objective
 
 
 def _block_perceptron_tail(args):

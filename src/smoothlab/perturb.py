@@ -8,7 +8,7 @@ serial ones exactly. Gaussians come from the generator's standard_normal
 (ziggurat); determinism is guaranteed within this implementation, not across
 languages.
 
-``SeedSpec.rng()`` is the reference. The batched kinds take their streams
+``SeedSpec.rng()`` is the reference. Every sampled kind takes its streams
 from ``block_streams``, which derives a whole block of them in bulk,
 bit-identical to ``SeedSpec.rng()``, and checks that against the reference
 once per block: if numpy ever changes its seeding, a run fails with
@@ -173,8 +173,8 @@ def regime_notes(centers, sigma: float) -> list:
     return notes
 
 
-def smoothed_input(center_x, sigma: float, seed: SeedSpec) -> np.ndarray:
-    """Relative-magnitude perturbation x + sigma * ||x|| * g."""
+def smoothed_input(center_x, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Relative-magnitude perturbation x + sigma * ||x|| * g, g drawn from rng."""
     sigma = _check_sigma(sigma)
     x = np.asarray(center_x, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
@@ -182,4 +182,4 @@ def smoothed_input(center_x, sigma: float, seed: SeedSpec) -> np.ndarray:
     scale = sigma * float(np.linalg.norm(x))
     if scale == 0.0:
         return x.copy()
-    return x + scale * seed.rng().standard_normal(x.shape)
+    return x + scale * rng.standard_normal(x.shape)

@@ -114,14 +114,6 @@ def parse_lp(text: str) -> LinearProgram:
     return LinearProgram(arr[:, :d], arr[:, d], np.asarray(zline))
 
 
-def format_lp(lp: LinearProgram) -> str:
-    lines = [f"{lp.n} {lp.d}"]
-    for i in range(lp.n):
-        lines.append(" ".join(repr(float(v)) for v in lp.A[i]) + " " + repr(float(lp.b[i])))
-    lines.append(" ".join(repr(float(v)) for v in lp.z))
-    return "\n".join(lines) + "\n"
-
-
 def basis_chunks(n: int, d: int):
     """d-subsets of range(n) in combinations order, as (k, d) arrays, k <= BASIS_CHUNK."""
     if math.comb(n, d) > MAX_BASES:

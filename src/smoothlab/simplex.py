@@ -121,23 +121,23 @@ def shadow_pivot_walk(lp: LinearProgram, start: PolytopeVertex, start_objective)
         e[r_pos] = -1.0
         w = np.linalg.solve(sub, e)
 
-        slack = lp.b - lp.A @ x
+        # ratio test over the non-basic rows the edge advances on
         advance = lp.A @ w
-        candidates = []
-        for j in range(lp.n):
-            if j in basis or advance[j] <= 1e-11:
-                continue
-            candidates.append((max(slack[j], 0.0) / advance[j], j))
-        if not candidates:
+        blocking = advance > 1e-11
+        blocking[basis] = False
+        rows = np.flatnonzero(blocking)
+        if not len(rows):
             trace.status = "unbounded"
             trace.ray = w
             trace.lambda_breakpoints.append(lam_star)
             return trace
-        theta = min(step for step, _ in candidates)
-        entering_ties = [j for step, j in candidates if step <= theta + PIVOT_TIE_TOL]
+        slack = lp.b - lp.A @ x
+        steps = np.maximum(slack[rows], 0.0) / advance[rows]
+        theta = float(np.min(steps))
+        entering_ties = rows[steps <= theta + PIVOT_TIE_TOL]
         if len(entering_ties) > 1:
             trace.degenerate = True
-        j = min(entering_ties)
+        j = int(entering_ties[0])   # the lowest row index
 
         x = x + theta * w
         basis[r_pos] = j

@@ -15,15 +15,23 @@ from smoothlab.experiments import (
     BLOCK_TRIALS,
     KINDS,
     ExperimentConfig,
+    LOOP_BLOCK_TRIALS,
+    MEASURES,
     _block_matrix_tail,
+    _block_perceptron_tail,
+    _block_profile,
     _block_rademacher,
+    _block_shadow_size,
+    _block_simplex_pivots,
     _block_submatrix,
     point_centers,
+    profile_center_set,
     run_experiment,
     verify_replay,
 )
 from smoothlab.numkit import inverse_norm
 from smoothlab.perturb import RegimeWarning, SeedSpec
+from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json
 from smoothlab.simplex import solve
 
@@ -335,6 +343,41 @@ def assert_bit_equal(got, want):
 
 COUNTS = (1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 3)
 
+# (first trial, count): a block at 0, one mid-range, a 2-trial block
+LOOP_BLOCKS = ((0, LOOP_BLOCK_TRIALS), (21, 5), (1000, 2))
+
+
+def _loop_reference(trial, k, cfg, payload, sigma, first, count):
+    """Records of trials first .. first + count - 1, trial s fed the
+    generators SeedSpec(master_seed, k*s + j).rng() for j = 0 .. k-1."""
+    recs = []
+    for s in range(first, first + count):
+        streams = iter([SeedSpec(cfg.master_seed, k * s + j).rng() for j in range(k)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            recs.append(trial((cfg, payload, sigma, streams, k * s)))
+        assert next(streams, None) is None   # the trial took all k streams
+    return recs
+
+
+POINT_LOOP_KINDS = {   # kind: block worker, trial, streams per trial, sigma, config fields
+    "shadow_size": (_block_shadow_size, experiments._trial_shadow_size, 2, 0.13,
+                    dict(n=8, d=3, center_source="box")),
+    "simplex_pivots": (_block_simplex_pivots, experiments._trial_simplex_pivots, 2, 0.1,
+                       dict(n=6, d=2, center_source="box")),
+    "perceptron_tail": (_block_perceptron_tail, experiments._trial_perceptron_tail, 1, 0.2,
+                        dict(n=6, d=2, thresholds=(2.0,), center_source="ones")),
+}
+
+
+def _assert_loop_blocks(block, trial, k, cfg, payload, sigma):
+    seen = []
+    for first, count in LOOP_BLOCKS:
+        got = block((cfg, payload, sigma, first, count))
+        assert got == _loop_reference(trial, k, cfg, payload, sigma, first, count)
+        seen += [json.dumps(r, sort_keys=True) for r in got]
+    return seen
+
 
 class TestBlocksMatchLoops:
     @pytest.mark.parametrize("seed,d,center", [
@@ -375,6 +418,36 @@ class TestBlocksMatchLoops:
             assert _block_submatrix((cfg, centers, sigma, first, count)) == want
             seen.update(want)
         assert len(seen) > 1 or sigma < 1
+
+    @pytest.mark.parametrize("kind", sorted(POINT_LOOP_KINDS))
+    @pytest.mark.parametrize("seed", [0, 90210, 2 ** 64 - 1])
+    def test_point_loop_kinds(self, kind, seed):
+        block, trial, k, sigma, fields = POINT_LOOP_KINDS[kind]
+        cfg = ExperimentConfig(kind=kind, master_seed=seed, **fields)
+        seen = _assert_loop_blocks(block, trial, k, cfg, point_centers(cfg), sigma)
+        assert len(set(seen)) > 1
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_profile(self, measure, sigma):
+        cfg = ExperimentConfig(kind="smoothed_profile", n=4, d=2, master_seed=17,
+                               measure=measure)
+        for _, center in profile_center_set(cfg):
+            seen = _assert_loop_blocks(_block_profile, experiments._trial_profile, 1,
+                                       cfg, center, sigma)
+            if sigma == 0.0:   # every trial is the center itself
+                assert len(set(seen)) == 1
+
+    def test_runner_streams_two_per_trial(self):
+        # shadow-size group g owns streams 2 * g * trials .. 2 * (g + 1) * trials - 1
+        trials = LOOP_BLOCK_TRIALS + 3
+        cfg = ExperimentConfig(kind="shadow_size", n=7, d=3, sigma_grid=(0.05, 0.1),
+                               trials=trials, master_seed=5)
+        report = run_experiment(cfg)
+        for g, (entry, sigma) in enumerate(zip(report.per_trial, cfg.sigma_grid)):
+            assert entry["counts"] == _loop_reference(
+                experiments._trial_shadow_size, 2, cfg, point_centers(cfg), sigma,
+                g * trials, trials)
 
     @pytest.mark.parametrize("trials", COUNTS)
     def test_runner_streams(self, trials):

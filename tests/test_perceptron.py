@@ -234,7 +234,7 @@ class TestLoopMatchesReference:
         for center_id, center in profile_center_set(cfg)[:2]:
             assert center_id in ("box", "stretched")
             for stream in range(6):
-                pts = smoothed_input(center.ravel(), 0.1, SeedSpec(1, stream))
+                pts = smoothed_input(center.ravel(), 0.1, SeedSpec(1, stream).rng())
                 inst = PerceptronInstance(pts.reshape(center.shape))
                 for rule in RULES:
                     assert_same_run(inst, 3000, rule)
@@ -409,7 +409,7 @@ class TestInfeasibilityCertificate:
         center_id, center = profile_center_set(cfg)[0]
         assert center_id == "box"
         inst = PerceptronInstance(smoothed_input(center.ravel(), 0.1,
-                                                 SeedSpec(1, 0)).reshape(center.shape))
+                                                 SeedSpec(1, 0).rng()).reshape(center.shape))
         assert _certified_infeasible(inst, 10 ** 9)   # else the loop below takes hours
         for rule in RULES:
             run = run_perceptron(inst, iteration_cap=10 ** 9, rule=rule)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -116,6 +117,33 @@ class TestSeedingGuard:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["shadow-size", "--n", "7", "--d", "3", "--sigma", "0.1", "--trials", "3"],
+        ["simplex-pivots", "--n", "6", "--d", "2", "--sigma", "0.1", "--trials", "3"],
+        ["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "0.2", "--threshold", "2",
+         "--trials", "3", "--center", "ones"],
+        ["smoothed-profile", "--n", "4", "--d", "2", "--sigma", "0.0", "--trials", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_loop_kinds_exit_1_with_one_line(self, broken_mixing, tmp_path, capsys, argv):
+        out = tmp_path / "r.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+
+class TestOneStreamPath:
+    # SeedSpec.rng() and block_streams are the only ways to a generator
+    MAKERS = ("SeedSpec(", "default_rng(", "SeedSequence(", "Generator(")
+
+    def test_only_perturb_makes_generators(self):
+        src = pathlib.Path(perturb.__file__).parent
+        modules = sorted(src.glob("*.py"))
+        assert len(modules) > 5
+        offenders = [f"{path.name}: {maker}" for path in modules if path.name != "perturb.py"
+                     for maker in self.MAKERS if maker in path.read_text(encoding="utf-8")]
+        assert offenders == []
+
 
 class TestGaussianMatrix:
     def test_zero_sigma_returns_center(self):
@@ -187,19 +215,19 @@ class TestRademacher:
 class TestSmoothedInput:
     def test_zero_center_unperturbed(self):
         x = np.zeros(4)
-        assert np.array_equal(smoothed_input(x, 0.5, SeedSpec(0)), x)
+        assert np.array_equal(smoothed_input(x, 0.5, SeedSpec(0).rng()), x)
 
     def test_zero_sigma_unperturbed(self):
         x = np.array([1.0, 2.0])
-        assert np.array_equal(smoothed_input(x, 0.0, SeedSpec(0)), x)
+        assert np.array_equal(smoothed_input(x, 0.0, SeedSpec(0).rng()), x)
 
     def test_relative_scale(self):
         x = np.array([3.0, 4.0])  # norm 5
         seed = SeedSpec(77, 2)
-        out = smoothed_input(x, 0.1, seed)
+        out = smoothed_input(x, 0.1, seed.rng())
         g = seed.rng().standard_normal(2)
         assert np.allclose(out, x + 0.5 * g)
 
     def test_rejects_matrix(self):
         with pytest.raises(InvalidInputError):
-            smoothed_input(np.zeros((2, 2)), 0.1, SeedSpec(0))
+            smoothed_input(np.zeros((2, 2)), 0.1, SeedSpec(0).rng())

@@ -25,7 +25,6 @@ from smoothlab.polytope import (
     brute_force_optimum,
     convex_hull_2d,
     enumerate_vertices,
-    format_lp,
     improving_ray,
     is_feasible,
     parse_lp,
@@ -46,13 +45,6 @@ CUBE3 = np.vstack([np.eye(3), -np.eye(3)])
 
 
 class TestParseFormat:
-    def test_roundtrip(self):
-        text = format_lp(BOX2)
-        lp = parse_lp(text)
-        assert np.array_equal(lp.A, BOX2.A)
-        assert np.array_equal(lp.b, BOX2.b)
-        assert np.array_equal(lp.z, BOX2.z)
-
     def test_parse_example(self):
         lp = parse_lp("2 2\n1 0 1\n0 1 2\n3 4\n")
         assert lp.n == 2 and lp.d == 2
