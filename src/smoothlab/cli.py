@@ -129,13 +129,12 @@ def _config_argv(command: str, path: str) -> list:
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     kind = KIND_BY_COMMAND[args.command]
     options = vars(args)
-    cfg = ExperimentConfig(kind=kind, output_path=options.get("output_path"),
-                           **{f: options[f] for f in KINDS[kind].fields if f in options})
+    cfg = ExperimentConfig(kind=kind, **{f: options[f] for f in KINDS[kind].fields if f in options})
     if args.per_trial and args.format != "json":
         raise ConfigError("--per-trial requires --format json")
-    if cfg.output_path is None:
+    if "output_path" not in options:
         raise ConfigError("--out is required")
-    out_dir = os.path.dirname(os.path.abspath(cfg.output_path))
+    out_dir = os.path.dirname(os.path.abspath(args.output_path))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
     return cfg
@@ -188,7 +187,7 @@ def cli_main(argv=None) -> int:
             return 1
         cfg = _experiment_config(args)
         report = run_experiment(cfg, jobs=args.jobs)
-        write_report(report, cfg.output_path, args.format, per_trial=args.per_trial)
+        write_report(report, args.output_path, args.format, per_trial=args.per_trial)
         return 0
     except OutOfRegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)

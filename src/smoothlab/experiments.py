@@ -20,23 +20,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
-from .numkit import inverse_norm
+from .numkit import inverse_norm, parse_table
 from .perceptron import (
     RULES,
     PerceptronInstance,
     blum_dunagan_tail,
     iteration_bound,
-    parse_instance,
+    row_norms,
     run_perceptron,
     wiggle_room,
 )
-from .perturb import block_streams, regime_notes, smoothed_input, variance_regime_limit
+from .perturb import block_streams, regime_notes, smoothed_input, variance_regime_note
 from .polytope import (
     DegeneracyWarning,
     LinearProgram,
     basis_chunks,
     brute_force_optimum,
-    parse_lp,
     shadow_polygon,
     shadow_size_bound,
 )
@@ -62,18 +61,10 @@ class ExperimentConfig:
     exhaustive: bool = False       # rademacher_tail: enumerate all sign matrices
     rule: str = "lowest_index"     # perceptron selection rule
     measure: str = "simplex_pivots"  # smoothed_profile measure
-    output_path: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-
-    def echo(self) -> dict:
-        # the output location is delivery detail, not an experiment parameter;
-        # leaving it out keeps reports byte-identical across destinations
-        d = asdict(self)
-        d.pop("output_path")
-        return d
 
 
 @dataclass
@@ -126,15 +117,7 @@ def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
         return np.zeros((cfg.d, cfg.d))
     if cfg.center_source == "ones":
         return np.ones((cfg.d, cfg.d))
-    try:
-        m = np.loadtxt(cfg.center_source, ndmin=2)
-    except (OSError, ValueError) as exc:   # ValueError: text that is not numbers
-        raise ConfigError(f"cannot read center file: {exc}") from exc
-    if m.shape != (cfg.d, cfg.d):
-        raise ConfigError(f"center file has shape {m.shape}, expected ({cfg.d}, {cfg.d})")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError("center file entries must be finite")
-    return m
+    return read_center_file(cfg, cfg.d)
 
 
 def read_text_file(path: str, what: str) -> str:
@@ -146,14 +129,31 @@ def read_text_file(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
+def read_center_file(cfg: ExperimentConfig, n: int | None) -> np.ndarray:
+    """The centers in the file cfg.center_source, in the instance format:
+    n rows (any number if n is None) of cfg.d finite entries and finite
+    norm; zero rows are allowed, as with the zero center."""
+    try:
+        m = parse_table(read_text_file(cfg.center_source, "center file"), "instance file")[0]
+    except InvalidInputError as exc:
+        raise ConfigError(f"cannot read center file: {exc}") from exc
+    want = (m.shape[0] if n is None else n, cfg.d)
+    if m.shape != want:
+        raise ConfigError(f"center file has shape {m.shape}, expected {want}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("center file entries must be finite")
+    if not np.all(np.isfinite(row_norms(m))):
+        raise ConfigError("every point's norm must be finite")
+    return m
+
+
 def point_centers(cfg: ExperimentConfig) -> np.ndarray:
     """n x d row centers for point-perturbation experiments.
 
     "zero" is the origin for every row; "ones" the unit-normalized all-ones
     vector; "box" cycles through +-e_k (a cross-polytope of constraint
     normals); "stretched" is the box with axis k shrunk geometrically, a
-    mildly adversarial elongated polytope. Anything else is a file in the
-    perceptron instance format.
+    mildly adversarial elongated polytope. Anything else is a center file.
     """
     n, d = cfg.n, cfg.d
     src = cfg.center_source
@@ -169,11 +169,7 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
             scale = 5.0 ** (-k) if src == "stretched" else 1.0
             rows[i, k] = sign * scale
         return rows
-    inst = parse_instance(read_text_file(src, "center file"))
-    if inst.points.shape != (n, d):
-        raise ConfigError(
-            f"center file has shape {inst.points.shape}, expected ({n}, {d})")
-    return inst.points
+    return read_center_file(cfg, n)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +563,7 @@ def _prepare_submatrix(cfg: ExperimentConfig):
         raise SizeLimitError(
             f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
     for sigma in cfg.sigma_grid:
-        if sigma ** 2 > variance_regime_limit(cfg.n, cfg.d) * (1 + 1e-12):
+        if variance_regime_note(cfg.n, cfg.d, sigma):
             raise OutOfRegimeError("submatrix lemma requires sigma^2 <= 1/(9 d log n)")
     groups, notes = _prepare_points(cfg)
     return groups, ["the stated inequality direction is evaluated literally; "
@@ -581,10 +577,7 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     this finite configured set, and reports label it accordingly.
     """
     if cfg.center_source not in BUILTIN_CENTERS:
-        text = read_text_file(cfg.center_source, "center file")
-        if cfg.measure == "simplex_pivots":
-            return [("file", parse_lp(text).A)]
-        return [("file", parse_instance(text).points)]
+        return [("file", read_center_file(cfg, None))]
     return [(src, point_centers(replace(cfg, center_source=src)))
             for src in ("box", "stretched", "ones")]
 
@@ -664,7 +657,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
         per_trial.append({**header, kind.key: records[first:first + trials]})
         first += trials
     rows = aggregate_rows(cfg, per_trial)
-    return Report(schema=f"{cfg.kind}.{SCHEMA_VERSION}", config=cfg.echo(),
+    return Report(schema=f"{cfg.kind}.{SCHEMA_VERSION}", config=asdict(cfg),
                   columns=list(rows[0]), rows=rows, warnings=notes, per_trial=per_trial)
 
 

@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays (matrices row-major, vectors
 1-d). Dimensions are small (d up to a few dozen), so full SVDs are used
 throughout; accuracy of the smallest singular value matters far more than
 throughput for the tail experiments built on top. inverse_norm alone also
-takes a (k, d, d) stack, for one batched SVD per block of trials.
+takes a (k, d, d) stack, for one batched SVD per block of trials. parse_table
+reads the `n d` text format that LP, instance and center files share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,25 @@ SINGULAR_RTOL = 64.0 * np.finfo(float).eps
 def _is_singular(s: np.ndarray):  # one spectrum, or a stack of spectra
     smax, smin = s[..., 0], s[..., -1]
     return (smin <= smax * s.shape[-1] * SINGULAR_RTOL) | (smin < 1e-300)
+
+
+def parse_table(text: str, what: str, extra: int = 0, tail: int = 0):
+    """A first line "n d" (both at least 1), then n rows of d + extra numbers
+    and `tail` rows of d; blank lines are skipped. Returns the (n, d + extra)
+    and (tail, d) arrays; errors name `what`, e.g. "malformed LP file: ..."."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidInputError(f"empty {what}")
+    try:
+        n, d = (int(tok) for tok in lines[0].split())
+        if n < 1 or d < 1:
+            raise InvalidInputError(f"n and d must be at least 1 (header {n} {d})")
+        rows = [list(map(float, lines[1 + i].split())) for i in range(n + tail)]
+    except (ValueError, IndexError) as exc:
+        raise InvalidInputError(f"malformed {what}: {exc}") from exc
+    if any(len(r) != d + extra for r in rows[:n]) or any(len(r) != d for r in rows[n:]):
+        raise InvalidInputError(f"malformed {what}: wrong field counts")
+    return np.array(rows[:n]), np.array(rows[n:]).reshape(tail, d)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -68,7 +88,7 @@ def inverse_norm(m) -> float | np.ndarray:
     s = np.linalg.svd(a, compute_uv=False)
     if a.ndim == 2:
         return math.inf if _is_singular(s) else 1.0 / float(s[-1])
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):   # _is_singular makes those inf
         return np.where(_is_singular(s), math.inf, 1.0 / s[:, -1])
 
 

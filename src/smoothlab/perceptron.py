@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
+from .numkit import parse_table
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
@@ -74,19 +75,7 @@ class PerceptronRun:
 
 def parse_instance(text: str) -> PerceptronInstance:
     """Plain-text instance: first line "n d", then n lines of d scalars."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInputError("empty instance file")
-    try:
-        n, d = (int(tok) for tok in lines[0].split())
-        if n < 1 or d < 1:
-            raise InvalidInputError(f"n and d must be at least 1 (header {n} {d})")
-        rows = [list(map(float, lines[1 + i].split())) for i in range(n)]
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError(f"malformed instance file: {exc}") from exc
-    if any(len(r) != d for r in rows):
-        raise InvalidInputError("malformed instance file: wrong field counts")
-    return PerceptronInstance(np.asarray(rows, dtype=float))
+    return PerceptronInstance(parse_table(text, "instance file")[0])
 
 
 def min_norm_point(points: np.ndarray) -> np.ndarray:

@@ -151,6 +151,19 @@ def variance_regime_limit(n: int, d: int) -> float:
     return 1.0 / (9.0 * d * math.log(n))
 
 
+def variance_regime_note(n: int, d: int, sigma: float) -> str | None:
+    """Why sigma^2 exceeds 1/(9 d log n), with relative slack 1e-12; None if
+    it does not. A square past the float range counts as infinite."""
+    try:
+        square = float(sigma) ** 2
+    except OverflowError:
+        square = math.inf
+    limit = variance_regime_limit(n, d)
+    if square > limit * (1.0 + 1e-12):
+        return f"sigma^2 = {square:.6g} exceeds the regime limit 1/(9 d log n) = {limit:.6g}"
+    return None
+
+
 def regime_notes(centers, sigma: float) -> list:
     """Hypothesis-regime violations for Gaussian point perturbations.
 
@@ -165,12 +178,8 @@ def regime_notes(centers, sigma: float) -> list:
     over = int(np.sum(norms > 1.0 + 1e-12))
     if over:
         notes.append(f"{over} center(s) have norm > 1")
-    limit = variance_regime_limit(n, d)
-    if float(sigma) ** 2 > limit * (1.0 + 1e-12):
-        notes.append(
-            f"sigma^2 = {float(sigma) ** 2:.6g} exceeds the regime limit "
-            f"1/(9 d log n) = {limit:.6g}")
-    return notes
+    note = variance_regime_note(n, d, sigma)
+    return notes + [note] if note else notes
 
 
 def smoothed_input(center_x, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,8 @@ from .errors import (
     SizeLimitError,
     UnboundedShadowError,
 )
-from .perturb import variance_regime_limit
+from .numkit import parse_table
+from .perturb import variance_regime_note
 
 MAX_BASES = 1_000_000
 FEAS_TOL = 1e-9          # absolute slack tolerance for feasibility/tightness
@@ -97,21 +98,8 @@ class ShadowPolygon:
 
 def parse_lp(text: str) -> LinearProgram:
     """Plain-text LP: first line "n d", n lines of d+1 scalars, one line z."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInputError("empty LP file")
-    try:
-        n, d = (int(tok) for tok in lines[0].split())
-        if n < 1 or d < 1:
-            raise InvalidInputError(f"n and d must be at least 1 (header {n} {d})")
-        rows = [list(map(float, lines[1 + i].split())) for i in range(n)]
-        zline = list(map(float, lines[1 + n].split()))
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError(f"malformed LP file: {exc}") from exc
-    if any(len(r) != d + 1 for r in rows) or len(zline) != d:
-        raise InvalidInputError("malformed LP file: wrong field counts")
-    arr = np.asarray(rows, dtype=float)
-    return LinearProgram(arr[:, :d], arr[:, d], np.asarray(zline))
+    rows, z = parse_table(text, "LP file", extra=1, tail=1)
+    return LinearProgram(rows[:, :-1], rows[:, -1], z[0])
 
 
 def basis_chunks(n: int, d: int):
@@ -336,6 +324,7 @@ def shadow_size_bound(n: int, d: int, sigma: float) -> float:
     if d < 3 or n <= d:
         raise OutOfRegimeError("bound requires d >= 3 and n > d")
     sigma = float(sigma)
-    if not (sigma > 0) or sigma ** 2 > variance_regime_limit(n, d) * (1.0 + 1e-12):
+    if not (sigma > 0) or variance_regime_note(n, d, sigma):
         raise OutOfRegimeError("bound requires 0 < sigma^2 <= 1/(9 d log n)")
-    return 58888678.0 * n * d ** 3 / sigma ** 6
+    s6 = sigma ** 6
+    return 58888678.0 * n * d ** 3 / s6 if s6 else math.inf   # sigma^6 may underflow

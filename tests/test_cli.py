@@ -86,26 +86,88 @@ class TestTailMatrix:
         assert capsys.readouterr().err == "error: thresholds must be finite and positive\n"
 
 
+# sigma ** 2 underflows to 0 at 1e-200 and overflows past 1.3e154, where it is
+# infinite; sigma ** 6 underflows at 1e-60, making the shadow bound infinite.
+# (command, sigma, exit code, report cells on exit 0 or the out-of-regime line)
+SIGMA_RANGE_CASES = [
+    ("tail-perceptron", "1e-200", 0, {"vacuous": "true"}),
+    ("tail-perceptron", "1e200", 2, "bound requires sigma^2 < 1/(2d)"),
+    ("shadow-size", "1e-60", 0, {"bound_expected_vertices": "inf"}),
+    ("shadow-size", "1e-320", 0, {"bound_expected_vertices": "inf"}),
+    ("shadow-size", "1e200", 2, "bound requires 0 < sigma^2 <= 1/(9 d log n)"),
+    ("shadow-size", "1e300", 2, "bound requires 0 < sigma^2 <= 1/(9 d log n)"),
+    ("submatrix-lemma", "1e200", 2, "submatrix lemma requires sigma^2 <= 1/(9 d log n)"),
+    ("submatrix-lemma", "1e300", 2, "submatrix lemma requires sigma^2 <= 1/(9 d log n)"),
+]
+
+
 class TestExitCodes:
     def test_out_of_regime_is_2(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(["shadow-size", "--n", "8", "--d", "2", "--sigma", "0.1",
                     "--trials", "2", "--center", "box", "--out", str(out)]) == 2
 
-    def test_sigma_squared_out_of_float_range(self, tmp_path):
-        # sigma ** 2 underflows to 0 at 1e-200, yet sigma^2 < 1/(2d) holds; 1e200 is out
+    @pytest.mark.parametrize("command, sigma, code, expected", SIGMA_RANGE_CASES,
+                             ids=[f"{c}-{s}" for c, s, _, _ in SIGMA_RANGE_CASES])
+    def test_sigma_squared_out_of_float_range(self, tmp_path, capsys, command, sigma, code,
+                                              expected):
         out = tmp_path / "r.csv"
-        argv = ["tail-perceptron", "--n", "6", "--d", "2", "--threshold", "2", "--trials", "3",
-                "--center", "ones", "--out", str(out)]
-        assert run(argv + ["--sigma", "1e-200"]) == 0
-        header, row = out.read_text().splitlines()[1:]   # after the schema line
-        assert dict(zip(header.split(","), row.split(",")))["vacuous"] == "true"
-        assert run(argv + ["--sigma", "1e200"]) == 2
+        flags = {"tail-perceptron": ["--n", "6", "--d", "2", "--threshold", "2",
+                                     "--center", "ones"],
+                 "shadow-size": ["--n", "6", "--d", "3", "--center", "box"],
+                 "submatrix-lemma": ["--n", "6", "--d", "2", "--center", "box"]}[command]
+        assert run([command, *flags, "--trials", "3", "--sigma", sigma,
+                    "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"out of regime: {expected}\n" and not out.exists()
+        else:
+            header, row = out.read_text().splitlines()[1:]   # after the schema line
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert err == "" and {k: cells[k] for k in expected} == expected
 
     def test_size_limit_is_3(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run(["tail-rademacher", "--d", "5", "--threshold", "2",
                     "--exhaustive", "--out", str(out)]) == 3
+
+
+# every experiment command taking --sigma, and how it ends at sigma 1e200 where
+# it does not exit 0; at 1e-320 and 1e-60 every one exits 0. simplex-pivots at
+# 1e200 is left out: plane_basis squares its inputs there and warns.
+SIGMA_COMMANDS = {
+    "tail-matrix": ["tail-matrix", "--d", "2", "--threshold", "2", "--trials", "3"],
+    "shadow-size": ["shadow-size", "--n", "6", "--d", "3", "--trials", "2", "--center", "box"],
+    "simplex-pivots": ["simplex-pivots", "--n", "6", "--d", "2", "--trials", "2",
+                       "--center", "box"],
+    "tail-perceptron": ["tail-perceptron", "--n", "6", "--d", "2", "--threshold", "2",
+                        "--trials", "3", "--center", "ones"],
+    "submatrix-lemma": ["submatrix-lemma", "--n", "6", "--d", "2", "--trials", "3",
+                        "--center", "box"],
+    "simplex-profile": ["smoothed-profile", "--n", "6", "--d", "2", "--trials", "2",
+                        "--measure", "simplex_pivots"],
+    "perceptron-profile": ["smoothed-profile", "--n", "6", "--d", "2", "--trials", "2",
+                           "--measure", "perceptron_iterations"],
+}
+AT_1E200 = {
+    "shadow-size": (2, "out of regime: bound requires 0 < sigma^2 <= 1/(9 d log n)"),
+    "tail-perceptron": (2, "out of regime: bound requires sigma^2 < 1/(2d)"),
+    "submatrix-lemma": (2, "out of regime: submatrix lemma requires sigma^2 <= 1/(9 d log n)"),
+    "perceptron-profile": (1, "error: every point's norm must be finite"),
+}
+
+
+class TestSigmaAtFloatExtremes:
+    @pytest.mark.parametrize("sigma, command", [
+        (sigma, command) for sigma in ("1e-320", "1e-60", "1e200") for command in SIGMA_COMMANDS
+        if (sigma, command) != ("1e200", "simplex-pivots")])
+    def test_one_line_or_clean_exit(self, tmp_path, capsys, command, sigma):
+        code, line = AT_1E200.get(command, (0, None)) if sigma == "1e200" else (0, None)
+        out = tmp_path / "r.csv"
+        assert run([*SIGMA_COMMANDS[command], "--sigma", sigma, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"{line}\n")
+        assert out.exists() == (code == 0)
 
 
 TAIL_MATRIX = ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5"]
@@ -209,7 +271,7 @@ class TestConfigFile:
         folder = tmp_path / "a folder"
         folder.mkdir()
         center = folder / "center file.txt"
-        center.write_text("1 0\n0 1\n")
+        center.write_text("2 2\n1 0\n0 1\n")
         out = folder / "my report.json"
         text = (f"d = 2\nsigma = 1.0\nthreshold = 5\ncenter = {center}\n"
                 f"out = {out}\nformat = json\n")
@@ -226,7 +288,7 @@ class TestConfigFile:
         out = tmp_path / "r.csv"
         with pytest.raises(AssertionError, match="stop before the trials"):
             run(["tail-perceptron", "--out", str(out)])
-        assert seen == [ExperimentConfig(kind="perceptron_tail", output_path=str(out))]
+        assert seen == [ExperimentConfig(kind="perceptron_tail")]
 
 
 def subparser(command):
@@ -242,7 +304,7 @@ class TestOptionDeclarations:
     def test_every_dest_is_a_config_field_or_run_option(self, command):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         dests = {a.dest for a in subparser(command)._actions if a.dest != "help"}
-        assert dests - fields <= self.RUN_OPTIONS
+        assert dests - fields <= self.RUN_OPTIONS | {"output_path"}
         # absent experiment flags stay out of the namespace
         args = build_parser().parse_args([command])
         assert set(vars(args)) == {"command"} | self.RUN_OPTIONS
@@ -385,11 +447,7 @@ class TestFixtureCommands:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["0 2\n1 1\n", "-1 2\n1 1\n", "2 0\n1\n1\n"])
-    @pytest.mark.parametrize("command", [
-        "solve-lp {lp}",
-        "smoothed-profile --measure simplex_pivots --n 4 --d 2 --sigma 0.1 --trials 1 "
-        "--center {lp} --out {lp}.csv",
-    ])
+    @pytest.mark.parametrize("command", ["solve-lp {lp}"])
     def test_bad_lp_header(self, tmp_path, capsys, command, text):
         lp = tmp_path / "bad.lp"
         lp.write_text(text)
@@ -482,6 +540,26 @@ class TestVerifyReport:
             "error: malformed report: missing or unknown key 'values'\n")
 
 
+# every command taking --center, at n = 8 and d = 3 where it takes them
+CENTER_COMMANDS = {
+    "tail-matrix": ["tail-matrix", "--d", "3", "--sigma", "0.1", "--threshold", "5",
+                    "--trials", "2"],
+    "shadow-size": ["shadow-size", "--n", "8", "--d", "3", "--sigma", "0.1", "--trials", "2"],
+    "simplex-pivots": ["simplex-pivots", "--n", "8", "--d", "3", "--sigma", "0.1",
+                       "--trials", "2"],
+    "tail-perceptron": ["tail-perceptron", "--n", "8", "--d", "3", "--sigma", "0.1",
+                        "--threshold", "2", "--trials", "2"],
+    "submatrix-lemma": ["submatrix-lemma", "--n", "8", "--d", "3", "--sigma", "0.1",
+                        "--trials", "2"],
+    "simplex-profile": ["smoothed-profile", "--measure", "simplex_pivots", "--d", "3",
+                        "--sigma", "0", "0.1", "--trials", "2"],
+    "perceptron-profile": ["smoothed-profile", "--measure", "perceptron_iterations",
+                           "--d", "3", "--sigma", "0", "0.1", "--trials", "2"],
+}
+# the box rows of n = 8, d = 3 with the last one zero, as --center zero has
+ZERO_ROW_CENTERS = "8 3\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n1 0 0\n0 0 0\n"
+
+
 class TestCenterFile:
     def test_matrix_center_file_of_text(self, tmp_path, capsys):
         center = tmp_path / "c.txt"
@@ -493,7 +571,7 @@ class TestCenterFile:
 
     def test_matrix_center_file_not_finite(self, tmp_path, capsys):
         center = tmp_path / "c.txt"
-        center.write_text("1 nan\n0 1\n")
+        center.write_text("2 2\n1 nan\n0 1\n")
         assert run(["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
                     "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == "error: center file entries must be finite\n"
@@ -505,6 +583,59 @@ class TestCenterFile:
                     "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read center file: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["0 2\n1 1\n", "-1 2\n1 1\n", "2 0\n1\n1\n"])
+    @pytest.mark.parametrize("command", CENTER_COMMANDS)
+    def test_bad_header(self, tmp_path, capsys, command, text):
+        center = tmp_path / "bad.inst"
+        center.write_text(text)
+        out = tmp_path / "r.csv"
+        assert run([*CENTER_COMMANDS[command], "--center", str(center), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        header = " ".join(text.split()[:2])
+        assert captured.err == ("error: cannot read center file: malformed instance file: "
+                                f"n and d must be at least 1 (header {header})\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("tail-matrix", "1 0 0\n0 1 0\n0 0 1\n"),   # headerless matrix
+        ("simplex-profile", "8 3\n" + "1 0 0 1\n" * 8 + "1 1 1\n"),   # LP format
+        ("perceptron-profile", "8 3\n" + "1 0 0 1\n" * 8 + "1 1 1\n"),
+    ], ids=["tail-matrix-headerless", "simplex-profile-lp", "perceptron-profile-lp"])
+    def test_other_formats_are_refused(self, tmp_path, capsys, command, text):
+        center = tmp_path / "c.txt"
+        center.write_text(text)
+        assert run([*CENTER_COMMANDS[command], "--center", str(center),
+                    "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read center file: malformed instance file: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(CENTER_COMMANDS)[1:])
+    def test_zero_row_file_runs(self, tmp_path, capsys, command):
+        center = tmp_path / "c.inst"
+        center.write_text(ZERO_ROW_CENTERS)
+        assert run([*CENTER_COMMANDS[command], "--center", str(center),
+                    "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", CENTER_COMMANDS)
+    def test_row_norm_past_float_range(self, tmp_path, capsys, command):
+        center = tmp_path / "c.inst"
+        center.write_text("3 3\n1e300 1e300 0\n0 1 0\n0 0 1\n" if command == "tail-matrix"
+                          else ZERO_ROW_CENTERS.replace("1 0 0\n", "1e300 1e300 0\n", 1))
+        assert run([*CENTER_COMMANDS[command], "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: every point's norm must be finite\n"
+
+    @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
+    def test_profile_file_of_another_d(self, tmp_path, capsys, measure):
+        center = tmp_path / "c.inst"
+        center.write_text(ZERO_ROW_CENTERS)
+        assert run(["smoothed-profile", "--measure", measure, "--d", "2", "--sigma", "0.1",
+                    "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: center file has shape (8, 3), expected (8, 2)\n"
 
 
 class TestBadCounts:

@@ -61,9 +61,9 @@ ONE_CONFIG_PER_KIND = [
 class TestConfig:
     @pytest.mark.parametrize("cfg", ONE_CONFIG_PER_KIND, ids=lambda cfg: cfg.kind)
     def test_echo_roundtrip(self, cfg):
-        assert ExperimentConfig(**cfg.echo()) == cfg
+        assert ExperimentConfig(**dataclasses.asdict(cfg)) == cfg
         # as verify-report reads it back: tuples saved as JSON lists
-        assert ExperimentConfig(**json.loads(json.dumps(cfg.echo()))) == cfg
+        assert ExperimentConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_one_config_per_kind(self):
         assert sorted(cfg.kind for cfg in ONE_CONFIG_PER_KIND) == sorted(KINDS)
@@ -576,6 +576,14 @@ class TestValidation:
                                center_source=str(center), measure="perceptron_iterations")
         assert run_experiment(cfg).per_trial[0]["records"] == [{"measure": 1, "status": "solved"}]
 
+    def test_profile_zero_row_at_sigma_zero(self, tmp_path):
+        center = tmp_path / "c.inst"
+        center.write_text("3 2\n1 0\n0 0\n0 1\n")
+        cfg = ExperimentConfig(kind="smoothed_profile", d=2, sigma_grid=(0.0,), trials=2,
+                               center_source=str(center), measure="perceptron_iterations")
+        assert run_experiment(cfg).per_trial[0]["records"] == \
+            [{"measure": 0, "status": "degenerate_zero_row"}] * 2
+
     def test_matrix_center_file_of_text(self, tmp_path):
         center = tmp_path / "c.txt"
         center.write_text("a b\n")
@@ -583,3 +591,48 @@ class TestValidation:
                                thresholds=(3.0,), center_source=str(center))
         with pytest.raises(ConfigError, match="cannot read center file"):
             run_experiment(cfg)
+
+
+def _write_centers(path, rows) -> str:
+    path.write_text(f"{len(rows)} {len(rows[0])}\n"
+                    + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    return str(path)
+
+
+class TestCenterFileMatchesBuiltin:
+    """A file holding a built-in center's rows gives that center's trials."""
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(kind="shadow_size", n=8, d=3, sigma_grid=(0.1,), trials=3),
+        ExperimentConfig(kind="simplex_pivots", n=6, d=2, sigma_grid=(0.1,), trials=3),
+        ExperimentConfig(kind="perceptron_tail", n=8, d=3, sigma_grid=(0.1,),
+                         thresholds=(2.0,), trials=5),
+        ExperimentConfig(kind="submatrix_lemma", n=6, d=2, sigma_grid=(0.1,), trials=5),
+    ], ids=lambda cfg: cfg.kind)
+    def test_box_rows(self, tmp_path, cfg):
+        box = dataclasses.replace(cfg, center_source="box", master_seed=17)
+        path = _write_centers(tmp_path / "box.inst", point_centers(box).tolist())
+        built_in, from_file = (run_experiment(c)
+                               for c in (box, dataclasses.replace(box, center_source=path)))
+        assert from_file.per_trial == built_in.per_trial
+        assert from_file.rows == built_in.rows and from_file.warnings == built_in.warnings
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_profile_box_rows(self, tmp_path, measure):
+        box = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.1,), trials=3,
+                               master_seed=17, measure=measure)
+        path = _write_centers(tmp_path / "box.inst", point_centers(
+            dataclasses.replace(box, center_source="box")).tolist())
+        built_in = run_experiment(box).per_trial[0]   # the box is the first center
+        from_file = run_experiment(dataclasses.replace(box, n=0, center_source=path)).per_trial[0]
+        assert built_in["center_id"] == "box" and from_file["center_id"] == "file"
+        assert from_file["records"] == built_in["records"]
+
+    def test_matrix_ones(self, tmp_path):
+        ones = ExperimentConfig(kind="matrix_tail", d=3, sigma_grid=(0.5, 1.0),
+                                thresholds=(2.0, 10.0), trials=200, master_seed=17,
+                                center_source="ones")
+        path = _write_centers(tmp_path / "ones.inst", [[1, 1, 1]] * 3)
+        built_in, from_file = (run_experiment(c)
+                               for c in (ones, dataclasses.replace(ones, center_source=path)))
+        assert from_file.per_trial == built_in.per_trial and from_file.rows == built_in.rows

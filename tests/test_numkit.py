@@ -12,6 +12,7 @@ from smoothlab.numkit import (
     height,
     inverse_norm,
     operator_norm,
+    parse_table,
 )
 from smoothlab.perturb import SeedSpec
 
@@ -86,6 +87,11 @@ class TestInverseNorms:
             with pytest.raises(InvalidInputError):
                 inverse_norm(bad)
 
+    def test_subnormal_smallest_singular_value_gives_inf_silently(self):
+        # 1 / 1e-310 overflows; such a matrix is singular by the 1e-300 floor
+        stack = np.array([np.diag([1.0, 1e-310]), np.eye(2)])
+        assert inverse_norm(stack).tolist() == [math.inf, 1.0]
+
     @pytest.mark.parametrize("n,d,center", [(8, 3, "box"), (11, 4, "ones"), (6, 2, "zero")])
     def test_trial_submatrix_matches_subset_loop(self, n, d, center):
         sigma = 0.1
@@ -99,6 +105,28 @@ class TestInverseNorms:
             expected.append(sum(inverse_norm(pts[list(idx)].T) >= tau
                                 for idx in itertools.combinations(range(n), d)))
         assert _block_submatrix((cfg, centers, sigma, 0, 5)) == expected
+
+
+class TestParseTable:
+    def test_rows_and_tail(self):
+        rows, tail = parse_table("2 2\n\n1 0 5\n0 1 6\n3 4\n", "LP file", extra=1, tail=1)
+        assert rows.tolist() == [[1, 0, 5], [0, 1, 6]] and tail.tolist() == [[3, 4]]
+        rows, tail = parse_table("1 3\n0 0 0\n", "instance file")
+        assert rows.tolist() == [[0, 0, 0]] and tail.shape == (0, 3)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty center list"),
+        ("\n \n", "empty center list"),
+        ("0 2\n", "malformed center list: n and d must be at least 1 (header 0 2)"),
+        ("2\n1\n", "malformed center list: not enough values to unpack (expected 2, got 1)"),
+        ("1 2\n", "malformed center list: list index out of range"),
+        ("1 2\n1 x\n", "malformed center list: could not convert string to float: 'x'"),
+        ("2 2\n1 0\n1 0 0\n", "malformed center list: wrong field counts"),
+    ])
+    def test_errors_name_the_file(self, text, message):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_table(text, "center list")
+        assert str(exc.value) == message
 
 
 class TestConditionNumber:

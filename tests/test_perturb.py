@@ -15,6 +15,7 @@ from smoothlab.perturb import (
     regime_notes,
     smoothed_input,
     variance_regime_limit,
+    variance_regime_note,
 )
 
 from samplers import gaussian_matrix, gaussian_points, rademacher_matrix
@@ -183,6 +184,29 @@ class TestRegime:
         centers = 2.0 * np.ones((8, 3))
         notes = regime_notes(centers, 1.0)
         assert len(notes) == 2
+
+    @pytest.mark.parametrize("n, d", [(8, 3), (40, 5), (2, 1), (1, 3)])
+    def test_note_decides_as_the_plain_square(self, n, d):
+        limit = variance_regime_limit(n, d)
+        edge = math.sqrt(limit) if math.isfinite(limit) else 1.0
+        sigmas = [edge * (1 + k * 1e-13) for k in range(-30, 31)]
+        sigmas += [0.0, 5e-324, 1e-320, 1e-160, 1e-60, 1.0, 1e150, 1.3e154]
+        for sigma in sigmas:
+            assert (variance_regime_note(n, d, sigma) is not None) == \
+                (sigma ** 2 > limit * (1 + 1e-12)), sigma
+
+    @pytest.mark.parametrize("sigma", [1.4e154, 1e200, 1e300, 1.7e308])
+    def test_a_square_past_the_float_range_is_infinite(self, sigma):
+        with pytest.raises(OverflowError):
+            sigma ** 2
+        assert variance_regime_note(8, 3, sigma) == (
+            f"sigma^2 = inf exceeds the regime limit 1/(9 d log n) = "
+            f"{variance_regime_limit(8, 3):.6g}")
+        assert variance_regime_note(1, 3, sigma) is None   # the limit is infinite
+
+    def test_notes_at_a_sigma_whose_square_overflows(self):
+        assert regime_notes(np.zeros((8, 3)), 1e200) == [
+            "sigma^2 = inf exceeds the regime limit 1/(9 d log n) = 0.017811"]
 
     def test_gaussian_points_warns(self):
         with pytest.warns(RegimeWarning):

@@ -519,6 +519,15 @@ class TestShadowSizeBound:
         with pytest.raises(OutOfRegimeError):
             shadow_size_bound(8, 3, too_big)
 
+    @pytest.mark.parametrize("sigma", [1e-60, 1e-320])
+    def test_sigma_sixth_underflow_gives_inf(self, sigma):
+        assert shadow_size_bound(8, 3, sigma) == math.inf
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e300])
+    def test_sigma_squared_overflow_is_out_of_regime(self, sigma):
+        with pytest.raises(OutOfRegimeError):
+            shadow_size_bound(8, 3, sigma)
+
     def test_boundary_sigma_accepted(self):
         sigma = math.sqrt(1.0 / (9 * 3 * math.log(8)))
         assert shadow_size_bound(8, 3, sigma) > 0
