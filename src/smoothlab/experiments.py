@@ -20,13 +20,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
-from .numkit import inverse_norm, parse_table
+from .numkit import inverse_norm, norm, parse_table
 from .perceptron import (
     RULES,
     PerceptronInstance,
     blum_dunagan_tail,
     iteration_bound,
-    row_norms,
     run_perceptron,
     wiggle_room,
 )
@@ -112,11 +111,13 @@ def _validate(cfg: ExperimentConfig) -> None:
 # centers
 
 def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    """d x d center for matrix-tail experiments."""
+    """d x d center for matrix-tail experiments: zero, ones or a center file."""
     if cfg.center_source == "zero":
         return np.zeros((cfg.d, cfg.d))
     if cfg.center_source == "ones":
         return np.ones((cfg.d, cfg.d))
+    if cfg.center_source in BUILTIN_CENTERS:
+        raise ConfigError(f"tail-matrix takes --center zero, ones or a FILE, not {cfg.center_source}")
     return read_center_file(cfg, cfg.d)
 
 
@@ -142,7 +143,7 @@ def read_center_file(cfg: ExperimentConfig, n: int | None) -> np.ndarray:
         raise ConfigError(f"center file has shape {m.shape}, expected {want}")
     if not np.all(np.isfinite(m)):
         raise ConfigError("center file entries must be finite")
-    if not np.all(np.isfinite(row_norms(m))):
+    if not np.all(np.isfinite(norm(m, axis=1))):
         raise ConfigError("every point's norm must be finite")
     return m
 

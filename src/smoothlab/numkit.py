@@ -29,6 +29,21 @@ def _is_singular(s: np.ndarray):  # one spectrum, or a stack of spectra
     return (smin <= smax * s.shape[-1] * SINGULAR_RTOL) | (smin < 1e-300)
 
 
+def norm(a, axis=None):
+    """np.linalg.norm(a, axis=axis) of a / 2^e, times 2^e, for 2^e near the largest
+    |entry| of a (or of each slice along axis; e <= 1023, as 2^1024 is inf): squares
+    overflow or underflow only with the norm (Blue, ACM TOMS 1978), and where
+    np.linalg.norm does neither the bits are the same, as the scaling is exact.
+    A norm past the float range is inf, without a warning."""
+    a = np.asarray(a, dtype=float)
+    if axis is None:   # Python floats cost a fraction of np.frexp per call
+        e = min(math.frexp(np.abs(a).max(initial=0.0))[1], 1023)
+        return float(np.linalg.norm(np.ldexp(a, -e))) * 2.0 ** e
+    e = np.minimum(np.frexp(np.abs(a).max(axis=axis, keepdims=True, initial=0.0))[1], 1023)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(a, -e), axis=axis, keepdims=True), e).squeeze(axis)
+
+
 def parse_table(text: str, what: str, extra: int = 0, tail: int = 0):
     """A first line "n d" (both at least 1), then n rows of d + extra numbers
     and `tail` rows of d; blank lines are skipped. Returns the (n, d + extra)

@@ -16,27 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
-from .numkit import parse_table
+from .numkit import norm, parse_table
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
 MNP_MAX_ITER = 10000     # Wolfe major cycles, and minor cycles per major cycle
 RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 CERTIFY_STEP = 2 ** 10   # a Brent checkpoint (power of two): one attempt to certify infeasibility
-TINY_NORM = 1e-150       # rows with a smaller norm are rescaled before squaring
-
-
-def row_norms(p: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row. A row whose plain norm is below
-    TINY_NORM, where squares underflow, takes m * |row / m| with m its
-    largest absolute entry; only an all-zero row gets 0."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(p, axis=1)
-    tiny = norms < TINY_NORM
-    if np.any(tiny):
-        m = np.abs(p[tiny]).max(axis=1)
-        norms[tiny] = m * np.linalg.norm(p[tiny] / np.where(m > 0.0, m, 1.0)[:, None], axis=1)
-    return norms
 
 
 @dataclass(frozen=True)
@@ -47,7 +33,7 @@ class PerceptronInstance:
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
         if p.ndim != 2 or p.shape[0] < 1 or not np.all(np.isfinite(p)):
             raise InvalidInputError("points must be a finite n x d array")
-        norms = row_norms(p)
+        norms = norm(p, axis=1)
         if np.any(norms == 0.0):
             raise InvalidInputError("all points must be nonzero")
         if not np.all(np.isfinite(norms)):
@@ -63,7 +49,7 @@ class PerceptronInstance:
         return self.points.shape[1]
 
     def normalized(self) -> np.ndarray:
-        return self.points / row_norms(self.points)[:, None]
+        return self.points / norm(self.points, axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,7 @@ def _certified_infeasible(inst: PerceptronInstance, iteration_cap: int) -> bool:
     delta = min(row[d] / sum(abs(g) for g in row[:d]) for row in inverse)
     gamma = Fraction(d, 2 ** 53 - d)   # d u / (1 - d u)
     bound = Fraction(0)
-    norms = row_norms(inst.points)
+    norms = norm(inst.points, axis=1)
     for j, vj in zip(active, v):
         c = Fraction(float(norms[j]))
         w = [Fraction(t) / c for t in inst.points[j].tolist()]

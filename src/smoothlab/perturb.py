@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, StreamMismatchError
+from .numkit import norm
 
 
 class RegimeWarning(UserWarning):
@@ -173,11 +174,8 @@ def regime_notes(centers, sigma: float) -> list:
     """
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     n, d = c.shape
-    notes = []
-    norms = np.linalg.norm(c, axis=1)
-    over = int(np.sum(norms > 1.0 + 1e-12))
-    if over:
-        notes.append(f"{over} center(s) have norm > 1")
+    over = int(np.sum(norm(c, axis=1) > 1.0 + 1e-12))
+    notes = [f"{over} center(s) have norm > 1"] if over else []
     note = variance_regime_note(n, d, sigma)
     return notes + [note] if note else notes
 
@@ -188,7 +186,7 @@ def smoothed_input(center_x, sigma: float, rng: np.random.Generator) -> np.ndarr
     x = np.asarray(center_x, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise InvalidInputError("center must be a finite 1-d vector")
-    scale = sigma * float(np.linalg.norm(x))
+    scale = sigma * norm(x)
     if scale == 0.0:
         return x.copy()
     return x + scale * rng.standard_normal(x.shape)

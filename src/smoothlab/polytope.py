@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitError,
     UnboundedShadowError,
 )
-from .numkit import parse_table
+from .numkit import norm, parse_table
 from .perturb import variance_regime_note
 
 MAX_BASES = 1_000_000
@@ -60,9 +60,8 @@ class LinearProgram:
             raise InvalidInputError("inconsistent LP dimensions")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(z))):
             raise InvalidInputError("LP data must be finite")
-        with np.errstate(over="ignore"):   # hypot overflows only past the float range
-            if not np.all(np.isfinite(np.hypot.reduce(a, axis=1))):
-                raise InvalidInputError("constraint row norms must be finite")
+        if not np.all(np.isfinite(norm(a, axis=1))):
+            raise InvalidInputError("constraint row norms must be finite")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "z", z)
@@ -156,12 +155,13 @@ def enumerate_vertices(lp: LinearProgram) -> list:
     verts = [PolytopeVertex(point=x, tight_set=tuple(idx.tolist()))
              for tight, points in feasible_bases(lp) for idx, x in zip(tight, points)]
     pts = np.array([v.point for v in verts])
-    for i in range(1, len(verts)):
-        close = np.linalg.norm(pts[:i] - pts[i], axis=1) < COINCIDENT_TOL
-        if close.any():
-            warnings.warn(
-                f"coincident vertices for bases {verts[close.argmax()].tight_set} and "
-                f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
+    with np.errstate(over="ignore"):   # a distance past the float range is not coincident
+        for i in range(1, len(verts)):
+            close = np.linalg.norm(pts[:i] - pts[i], axis=1) < COINCIDENT_TOL
+            if close.any():
+                warnings.warn(
+                    f"coincident vertices for bases {verts[close.argmax()].tight_set} and "
+                    f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
     return verts
 
 
@@ -247,15 +247,15 @@ def plane_basis(t, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).ravel()
     if t.size != z.size:
         raise InvalidInputError("plane vectors must share a dimension")
-    nt, nz = np.linalg.norm(t), np.linalg.norm(z)
+    nt, nz = norm(t), norm(z)
     if nt == 0 or nz == 0:
         raise DegeneratePlaneError("plane vectors must be nonzero")
-    cross = np.linalg.norm(np.outer(t, z) - np.outer(z, t)) / (math.sqrt(2) * nt * nz)
+    q1, u = t / nt, z / nz
+    cross = np.linalg.norm(np.outer(q1, u) - np.outer(u, q1)) / math.sqrt(2)
     if cross < 1e-9:  # Frobenius form of |sin(angle)|
         raise DegeneratePlaneError("plane vectors are (nearly) parallel")
-    q1 = t / nt
     r = z - np.dot(z, q1) * q1
-    q2 = r / np.linalg.norm(r)
+    q2 = r / norm(r)
     return np.column_stack([q1, q2])
 
 

@@ -133,8 +133,7 @@ class TestExitCodes:
 
 
 # every experiment command taking --sigma, and how it ends at sigma 1e200 where
-# it does not exit 0; at 1e-320 and 1e-60 every one exits 0. simplex-pivots at
-# 1e200 is left out: plane_basis squares its inputs there and warns.
+# it does not exit 0; at 1e-320 and 1e-60 every one exits 0.
 SIGMA_COMMANDS = {
     "tail-matrix": ["tail-matrix", "--d", "2", "--threshold", "2", "--trials", "3"],
     "shadow-size": ["shadow-size", "--n", "6", "--d", "3", "--trials", "2", "--center", "box"],
@@ -153,14 +152,12 @@ AT_1E200 = {
     "shadow-size": (2, "out of regime: bound requires 0 < sigma^2 <= 1/(9 d log n)"),
     "tail-perceptron": (2, "out of regime: bound requires sigma^2 < 1/(2d)"),
     "submatrix-lemma": (2, "out of regime: submatrix lemma requires sigma^2 <= 1/(9 d log n)"),
-    "perceptron-profile": (1, "error: every point's norm must be finite"),
 }
 
 
 class TestSigmaAtFloatExtremes:
     @pytest.mark.parametrize("sigma, command", [
-        (sigma, command) for sigma in ("1e-320", "1e-60", "1e200") for command in SIGMA_COMMANDS
-        if (sigma, command) != ("1e200", "simplex-pivots")])
+        (sigma, command) for sigma in ("1e-320", "1e-60", "1e200") for command in SIGMA_COMMANDS])
     def test_one_line_or_clean_exit(self, tmp_path, capsys, command, sigma):
         code, line = AT_1E200.get(command, (0, None)) if sigma == "1e200" else (0, None)
         out = tmp_path / "r.csv"
@@ -168,6 +165,16 @@ class TestSigmaAtFloatExtremes:
         err = capsys.readouterr().err
         assert err == ("" if code == 0 else f"{line}\n")
         assert out.exists() == (code == 0)
+
+    # the zero center's vertices (size ~1/sigma) and every center's rows (size
+    # ~sigma) have squares past the float range
+    @pytest.mark.parametrize("center", ["zero", "box"])
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-200", "1e-160", "1e160", "1e200"])
+    def test_simplex_pivots_squares_do_not_overflow(self, tmp_path, capsys, sigma, center):
+        out = tmp_path / "r.csv"
+        assert run(["simplex-pivots", "--n", "6", "--d", "2", "--trials", "10", "--center", center,
+                    "--seed", "0", "--sigma", sigma, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 TAIL_MATRIX = ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5"]
@@ -433,10 +440,19 @@ class TestFixtureCommands:
         assert doc["status"] == "solved" and doc["margin"] > 0.3
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["1 1\n1e308\n", "2 2\n1e300 1e300\n1 0\n"])
+    def test_run_perceptron_rows_whose_squares_overflow(self, tmp_path, capsys, text):
+        inst = tmp_path / "p.inst"
+        inst.write_text(text)
+        assert run(["run-perceptron", str(inst), "--cap", "10"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["status"] == "solved" and captured.err == ""
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, message", [
         ("0 2\n", "malformed instance file: n and d must be at least 1 (header 0 2)"),
         ("2 0\n", "malformed instance file: n and d must be at least 1 (header 2 0)"),
-        ("1 1\n1e308\n", "every point's norm must be finite"),
+        ("1 2\n1.5e308 1.5e308\n", "every point's norm must be finite"),
     ])
     def test_run_perceptron_bad_instance(self, tmp_path, capsys, text, message):
         inst = tmp_path / "p.inst"
@@ -558,6 +574,10 @@ CENTER_COMMANDS = {
 }
 # the box rows of n = 8, d = 3 with the last one zero, as --center zero has
 ZERO_ROW_CENTERS = "8 3\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n1 0 0\n0 0 0\n"
+# how the pivot walk ends on a center row of norm 1.4e300: its start check
+# takes an absolute residual of 1e-7, whatever the rows' scale
+HUGE_ROW_RUNS = {command: (1, "error: tight constraints are not tight at the start point\n")
+                 for command in ("simplex-pivots", "simplex-profile")}
 
 
 class TestCenterFile:
@@ -568,6 +588,14 @@ class TestCenterFile:
                     "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read center file: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("center", ["box", "stretched"])
+    def test_matrix_point_centers_are_refused(self, tmp_path, capsys, center):
+        out = tmp_path / "r.csv"
+        assert run([*CENTER_COMMANDS["tail-matrix"], "--center", center, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: tail-matrix takes --center zero, ones or a FILE, not {center}\n"
+        assert not out.exists()
 
     def test_matrix_center_file_not_finite(self, tmp_path, capsys):
         center = tmp_path / "c.txt"
@@ -624,10 +652,14 @@ class TestCenterFile:
     @pytest.mark.parametrize("command", CENTER_COMMANDS)
     def test_row_norm_past_float_range(self, tmp_path, capsys, command):
         center = tmp_path / "c.inst"
-        center.write_text("3 3\n1e300 1e300 0\n0 1 0\n0 0 1\n" if command == "tail-matrix"
-                          else ZERO_ROW_CENTERS.replace("1 0 0\n", "1e300 1e300 0\n", 1))
-        assert run([*CENTER_COMMANDS[command], "--center", str(center), "--out", str(tmp_path / "r.csv")]) == 1
-        assert capsys.readouterr().err == "error: every point's norm must be finite\n"
+        for row, code, err in [
+                ("1e300 1e300 0", *HUGE_ROW_RUNS.get(command, (0, ""))),   # norm 1.4e300
+                ("1.5e308 1.5e308 0", 1, "error: every point's norm must be finite\n")]:
+            center.write_text(f"3 3\n{row}\n0 1 0\n0 0 1\n" if command == "tail-matrix"
+                              else ZERO_ROW_CENTERS.replace("1 0 0\n", f"{row}\n", 1))
+            assert run([*CENTER_COMMANDS[command], "--center", str(center),
+                        "--out", str(tmp_path / "r.csv")]) == code
+            assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
     def test_profile_file_of_another_d(self, tmp_path, capsys, measure):

@@ -1,8 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.errors import InvalidInputError
 from smoothlab.experiments import ExperimentConfig, _block_submatrix, point_centers
@@ -11,6 +14,7 @@ from smoothlab.numkit import (
     distance_to_span,
     height,
     inverse_norm,
+    norm,
     operator_norm,
     parse_table,
 )
@@ -105,6 +109,49 @@ class TestInverseNorms:
             expected.append(sum(inverse_norm(pts[list(idx)].T) >= tau
                                 for idx in itertools.combinations(range(n), d)))
         assert _block_submatrix((cfg, centers, sigma, 0, 5)) == expected
+
+
+# rows of 1 to 6 entries, each 0 or of magnitude 2^-20..2, times 2^e for one e
+# in -140..140 per row: np.linalg.norm neither overflows nor underflows on them
+SCALED_ROWS = st.integers(1, 6).flatmap(lambda d: st.lists(st.tuples(
+    st.lists(st.floats(-2.0, 2.0).map(lambda x: x if abs(x) >= 2.0 ** -20 else 0.0),
+             min_size=d, max_size=d),
+    st.integers(-140, 140)), min_size=1, max_size=8))
+
+
+class TestNorm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SCALED_ROWS)
+    def test_bits_match_linalg_norm(self, rows):
+        a = np.array([np.ldexp(entries, e) for entries, e in rows])
+        assert np.array_equal(norm(a, axis=1), np.linalg.norm(a, axis=1))
+        for row in a:
+            got = norm(row)
+            assert type(got) is float and got == np.linalg.norm(row)
+
+    def test_zero_rows(self):
+        assert np.array_equal(norm(np.zeros((3, 2)), axis=1), np.zeros(3))
+        assert norm(np.zeros(4)) == 0.0
+
+    def test_subnormal_rows(self):
+        a = np.ldexp([[3.0, 4.0], [1.0, 0.0]], -1074)   # np.linalg.norm gives 0 for both
+        assert norm(a, axis=1).tolist() == [math.ldexp(5.0, -1074), 5e-324]
+        assert norm(a[0]) == math.ldexp(5.0, -1074)
+
+    @pytest.mark.parametrize("peak", [2.0 ** 1023, 1.5 * 2.0 ** 1023, np.finfo(float).max])
+    def test_peak_in_the_top_binade(self, peak):
+        assert norm([peak, 0.0]) == peak
+        assert norm(np.array([[0.0, -peak], [1.0, 0.0]]), axis=1).tolist() == [peak, 1.0]
+
+    def test_squares_past_the_float_range(self):
+        assert abs(norm([3e200, 4e200]) - 5e200) <= np.spacing(5e200)
+        assert abs(norm(np.array([[3e200, 4e200]]), axis=1)[0] - 5e200) <= np.spacing(5e200)
+
+    def test_norm_past_the_float_range_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm([1.5e308, 1.5e308]) == math.inf
+            assert norm(np.array([[1.5e308, 1.5e308], [1.0, 0.0]]), axis=1).tolist() == [math.inf, 1.0]
 
 
 class TestParseTable:

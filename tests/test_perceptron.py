@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from smoothlab import perceptron
 from smoothlab.errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
+from smoothlab.numkit import norm
 from smoothlab.perceptron import (
     CERTIFY_STEP,
     PerceptronInstance,
@@ -20,7 +21,6 @@ from smoothlab.perceptron import (
     parse_instance,
     run_perceptron,
     wiggle_room,
-    row_norms,
     wiggle_room_grid,
     _certified_infeasible,
 )
@@ -63,8 +63,11 @@ class TestParse:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rows", [[[1e308]], [[1.0, 0.0], [1e200, -1e200]]])
     def test_row_norm_must_be_finite(self, rows):
+        # squares past the float range, norms within it
+        units = norm(PerceptronInstance(rows).normalized(), axis=1)
+        assert np.all(np.abs(units - 1.0) <= 2 * np.finfo(float).eps)
         with pytest.raises(InvalidInputError, match="norm must be finite"):
-            PerceptronInstance(rows)
+            PerceptronInstance([[1.0, 0.0], [1.5e308, 1.5e308]])
 
     @pytest.mark.filterwarnings("error")
     def test_row_whose_squares_underflow_is_accepted(self):
@@ -80,7 +83,7 @@ class TestParse:
     def test_only_all_zero_rows_are_rejected(self):
         with pytest.raises(InvalidInputError, match="nonzero"):
             PerceptronInstance([[1.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(row_norms(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1e-200]])),
+        assert np.array_equal(norm(np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1e-200]]), axis=1),
                               [0.0, 5.0, 1e-200])
 
 
