@@ -47,8 +47,7 @@ FLAGS = {
                         help="one or more tail thresholds"),
     "--trials": dict(type=int),
     "--seed": dict(dest="master_seed", metavar="SEED", type=int, help="master seed"),
-    "--center": dict(dest="center_source", metavar="CENTER",
-                     help="zero | ones | box | stretched | FILE"),
+    "--center": dict(dest="center_source", metavar="CENTER"),   # help: Kind.centers
     "--out": dict(dest="output_path", metavar="OUT", help="output report path"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--per-trial": dict(action="store_true", default=False,
@@ -66,9 +65,11 @@ _SWITCH_VALUES = {"true": True, "yes": True, "on": True, "1": True,
 
 
 def _flags(command: str) -> dict:
-    keep = KINDS[KIND_BY_COMMAND[command]].fields + RUN_OPTIONS
-    return {flag: spec for flag, spec in FLAGS.items()
-            if spec.get("dest", flag[2:].replace("-", "_")) in keep}
+    kind = KINDS[KIND_BY_COMMAND[command]]
+    centers = " | ".join(kind.centers + ("FILE",))
+    return {flag: dict(spec, help=centers) if flag == "--center" else spec
+            for flag, spec in FLAGS.items()
+            if spec.get("dest", flag[2:].replace("-", "_")) in kind.fields + RUN_OPTIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,6 +42,7 @@ from .errors import UnboundedShadowError
 from .simplex import solve
 
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
+MATRIX_CENTERS = ("zero", "ones")   # the built-in centers tail-matrix takes
 SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
 MEASURES = ("simplex_pivots", "perceptron_iterations")
@@ -112,10 +113,8 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """d x d center for matrix-tail experiments: zero, ones or a center file."""
-    if cfg.center_source == "zero":
-        return np.zeros((cfg.d, cfg.d))
-    if cfg.center_source == "ones":
-        return np.ones((cfg.d, cfg.d))
+    if cfg.center_source in MATRIX_CENTERS:
+        return (np.zeros if cfg.center_source == "zero" else np.ones)((cfg.d, cfg.d))
     if cfg.center_source in BUILTIN_CENTERS:
         raise ConfigError(f"tail-matrix takes --center zero, ones or a FILE, not {cfg.center_source}")
     return read_center_file(cfg, cfg.d)
@@ -607,6 +606,7 @@ class Kind:
     prepare: Callable      # cfg -> (groups, notes), raising on a failed gate
     aggregate: Callable    # (cfg, per_trial) -> report rows, whose keys are the columns
     block_trials: int = LOOP_BLOCK_TRIALS
+    centers: tuple = BUILTIN_CENTERS   # the built-in --center values, if it takes --center
 
 
 _SHARED_FIELDS = ("d", "trials", "master_seed")
@@ -616,7 +616,7 @@ KINDS = {
     "matrix_tail": Kind("tail-matrix",
                         _SHARED_FIELDS + ("sigma_grid", "thresholds", "center_source"),
                         _block_matrix_tail, "values", _prepare_matrix_tail,
-                        aggregate_matrix_tail, BLOCK_TRIALS),
+                        aggregate_matrix_tail, BLOCK_TRIALS, MATRIX_CENTERS),
     "rademacher_tail": Kind("tail-rademacher", _SHARED_FIELDS + ("thresholds", "exhaustive"),
                             _block_rademacher, "values", _prepare_rademacher,
                             aggregate_rademacher_tail, BLOCK_TRIALS),

@@ -10,7 +10,7 @@ in or on that hull the instance is infeasible and nu is reported as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -27,18 +27,22 @@ CERTIFY_STEP = 2 ** 10   # a Brent checkpoint (power of two): one attempt to cer
 
 @dataclass(frozen=True)
 class PerceptronInstance:
+    """Points, their row norms and their unit rows: computed once, read-only."""
     points: np.ndarray   # (n, d), all rows nonzero with finite norms
+    norms: np.ndarray = field(init=False, repr=False)   # numkit.norm of each row
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if p.ndim != 2 or p.shape[0] < 1 or not np.all(np.isfinite(p)):
+        p = np.array(self.points, dtype=float, ndmin=2)
+        if p.ndim != 2 or p.shape[0] < 1 or not np.isfinite(p).all():
             raise InvalidInputError("points must be a finite n x d array")
         norms = norm(p, axis=1)
-        if np.any(norms == 0.0):
+        if (norms == 0.0).any():
             raise InvalidInputError("all points must be nonzero")
-        if not np.all(np.isfinite(norms)):
+        if not np.isfinite(norms).all():
             raise InvalidInputError("every point's norm must be finite")
-        object.__setattr__(self, "points", p)
+        for name, a in (("points", p), ("norms", norms), ("_unit", p / norms[:, None])):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -49,7 +53,7 @@ class PerceptronInstance:
         return self.points.shape[1]
 
     def normalized(self) -> np.ndarray:
-        return self.points / norm(self.points, axis=1)[:, None]
+        return self._unit   # points / norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -79,48 +83,44 @@ def _wolfe(points: np.ndarray) -> tuple[np.ndarray, list]:
     """min_norm_point's loop: the point u and the row indices of its final
     active set, whose simplex holds u."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    i0 = int(np.argmin(np.einsum("ij,ij->i", p, p)))
+    i0 = int(np.einsum("ij,ij->i", p, p).argmin())
     active = [i0]
     lam = np.array([1.0])
     u = p[i0].copy()
     for _ in range(MNP_MAX_ITER):
         scores = p @ u
-        j = int(np.argmin(scores))
-        uu = float(u @ u)
-        if scores[j] >= uu - max(MNP_GAP_TOL, 1e-12 * uu) or uu == 0.0:
-            break
-        if j in active:
+        j = int(scores.argmin())
+        uu = float(u.dot(u))
+        if uu == 0.0 or j in active or scores[j] >= uu - max(MNP_GAP_TOL, 1e-12 * uu):
             break
         active.append(j)
-        lam = np.append(lam, 0.0)
+        lam = np.concatenate((lam, (0.0,)))
         for _ in range(MNP_MAX_ITER):
-            q = p[active]
+            q = p.take(active, axis=0)
             m = len(active)
             # affine minimizer: (Q Q^T) alpha + mu 1 = 0, sum alpha = 1
-            kkt = np.zeros((m + 1, m + 1))
+            kkt = np.ones((m + 1, m + 1))
             kkt[:m, :m] = q @ q.T
-            kkt[:m, m] = 1.0
-            kkt[m, :m] = 1.0
-            rhs = np.zeros(m + 1)
+            kkt[m, m] = 0.0
+            rhs = np.zeros((m + 1, 1))
             rhs[m] = 1.0
-            alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]
-            if np.all(alpha > 1e-12):
+            alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m, 0]
+            if alpha.min() > 1e-12:
                 lam = alpha
                 u = q.T @ alpha
                 break
             # step toward alpha as far as the simplex allows, drop zeros
             shrink = lam - alpha
             mask = shrink > 1e-15
-            theta = float(np.min(lam[mask] / shrink[mask]))
-            theta = min(max(theta, 0.0), 1.0)
+            theta = min(max(float((lam[mask] / shrink[mask]).min()), 0.0), 1.0)
             lam = (1.0 - theta) * lam + theta * alpha
             keep = lam > 1e-12
-            if not np.any(keep):
-                keep[int(np.argmax(lam))] = True
+            if not keep.any():
+                keep[int(lam.argmax())] = True
             active = [a for a, k in zip(active, keep) if k]
             lam = lam[keep]
             lam = lam / lam.sum()
-            u = p[active].T @ lam
+            u = p.take(active, axis=0).T @ lam
     return u, active
 
 
@@ -131,7 +131,7 @@ def wiggle_room(inst: PerceptronInstance) -> float:
     i.e. when no strictly feasible direction exists.
     """
     u = min_norm_point(inst.normalized())
-    nu = float(np.linalg.norm(u))
+    nu = math.sqrt(u.dot(u))   # np.linalg.norm's own 1-D steps, less its call overhead
     return 0.0 if nu <= HULL_TOL else nu
 
 
@@ -251,9 +251,8 @@ def _certified_infeasible(inst: PerceptronInstance, iteration_cap: int) -> bool:
     delta = min(row[d] / sum(abs(g) for g in row[:d]) for row in inverse)
     gamma = Fraction(d, 2 ** 53 - d)   # d u / (1 - d u)
     bound = Fraction(0)
-    norms = norm(inst.points, axis=1)
     for j, vj in zip(active, v):
-        c = Fraction(float(norms[j]))
+        c = Fraction(float(inst.norms[j]))
         w = [Fraction(t) / c for t in inst.points[j].tolist()]
         error = max(abs(a - b) for a, b in zip(w, vj))
         bound = max(bound, error + gamma * max(abs(a) for a in w))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from smoothlab import perceptron
+from smoothlab import experiments, perceptron
 from smoothlab.errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
 from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
 from smoothlab.numkit import norm
@@ -312,6 +312,149 @@ class TestCycleDetection:
 
 
 SIGMAS = (0.05, 0.1, 0.3)
+
+
+def _reference_wolfe(points, counts):
+    """_wolfe's loop as it stood before its per-cycle overhead was cut
+    (np.zeros KKT with 4 writes, 1-D right-hand side, np.* wrappers, two break
+    tests). _wolfe must match it byte for byte. counts tallies drop steps and
+    rank-deficient KKT systems, so the test can check it reached both."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    i0 = int(np.argmin(np.einsum("ij,ij->i", p, p)))
+    active = [i0]
+    lam = np.array([1.0])
+    u = p[i0].copy()
+    for _ in range(perceptron.MNP_MAX_ITER):
+        scores = p @ u
+        j = int(np.argmin(scores))
+        uu = float(u @ u)
+        if scores[j] >= uu - max(perceptron.MNP_GAP_TOL, 1e-12 * uu) or uu == 0.0:
+            break
+        if j in active:
+            break
+        active.append(j)
+        lam = np.append(lam, 0.0)
+        for _ in range(perceptron.MNP_MAX_ITER):
+            q = p[active]
+            m = len(active)
+            kkt = np.zeros((m + 1, m + 1))
+            kkt[:m, :m] = q @ q.T
+            kkt[:m, m] = 1.0
+            kkt[m, :m] = 1.0
+            rhs = np.zeros(m + 1)
+            rhs[m] = 1.0
+            solution, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            counts["rank_deficient"] += rank < m + 1
+            alpha = solution[:m]
+            if np.all(alpha > 1e-12):
+                lam = alpha
+                u = q.T @ alpha
+                break
+            counts["drops"] += 1
+            shrink = lam - alpha
+            mask = shrink > 1e-15
+            theta = float(np.min(lam[mask] / shrink[mask]))
+            theta = min(max(theta, 0.0), 1.0)
+            lam = (1.0 - theta) * lam + theta * alpha
+            keep = lam > 1e-12
+            if not np.any(keep):
+                keep[int(np.argmax(lam))] = True
+            active = [a for a, k in zip(active, keep) if k]
+            lam = lam[keep]
+            lam = lam / lam.sum()
+            u = p[active].T @ lam
+    return u, active
+
+
+class TestWolfeMatchesReference:
+    CENTERS = ("zero", "ones", "box", "stretched")
+    SIGMAS = (0.0, 1e-9, 1e-3, 0.1, 1.0)
+
+    def test_seeded_instances(self):
+        rng = np.random.default_rng(18)
+        counts = {"drops": 0, "rank_deficient": 0}
+        checked = duplicated = 0
+        for src in self.CENTERS:
+            for sigma in self.SIGMAS:
+                for _ in range(55):
+                    n, d = int(rng.integers(2, 41)), int(rng.integers(2, 7))
+                    centers = point_centers(ExperimentConfig(kind="perceptron_tail", n=n, d=d,
+                                                             center_source=src))
+                    pts = centers + sigma * rng.standard_normal((n, d))
+                    if pts.any(axis=1).all():   # else Wolfe's raw-point path
+                        pts = PerceptronInstance(pts).normalized()
+                    duplicated += len(np.unique(pts, axis=0)) < n
+                    got_u, got_active = perceptron._wolfe(pts)
+                    want_u, want_active = _reference_wolfe(pts, counts)
+                    assert got_u.tobytes() == want_u.tobytes()
+                    assert got_active == want_active
+                    checked += 1
+        assert checked >= 1000
+        assert duplicated >= 100
+        assert counts["drops"] >= 100 and counts["rank_deficient"] >= 1
+
+    def test_margin_is_the_norm_of_the_min_norm_point(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 41)), int(rng.integers(2, 7))
+            pts = rng.standard_normal((n, d))
+            pts[:, 0] = np.abs(pts[:, 0]) + 0.05   # feasible along e_1
+            inst = PerceptronInstance(pts)
+            want = float(np.linalg.norm(perceptron.min_norm_point(inst.normalized())))
+            assert wiggle_room(inst) == want
+
+
+class TestNormalizedOnce:
+    def test_read_only(self):
+        inst = PerceptronInstance([[3.0, 4.0], [0.0, -2.0]])
+        for array in (inst.normalized(), inst.points, inst.norms):
+            with pytest.raises(ValueError):
+                array[0, ...] = 1.0
+
+    def test_caller_array_is_not_frozen_or_shared(self):
+        pts = np.array([[3.0, 4.0], [0.0, -2.0]])
+        inst = PerceptronInstance(pts)
+        pts[0, 0] = 7.0
+        assert pts.flags.writeable
+        assert inst.points[0, 0] == 3.0
+        assert np.array_equal(inst.normalized(), [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_bit_equal_to_one_division_by_the_row_norms(self):
+        rng = np.random.default_rng(20)
+        for exponent in range(-160, 201, 5):
+            pts = rng.standard_normal((12, 4))
+            pts *= 10.0 ** exponent / norm(pts, axis=1)[:, None]
+            inst = PerceptronInstance(pts)
+            want = inst.points / norm(inst.points, axis=1)[:, None]
+            assert inst.normalized().tobytes() == want.tobytes()
+            assert inst.norms.tobytes() == norm(inst.points, axis=1).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::smoothlab.perturb.RegimeWarning")
+    def test_one_norm_per_tail_trial(self):
+        cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
+                               thresholds=(2.0,), center_source="ones")
+        centers = point_centers(cfg)
+        feasible = 0
+        for stream in range(10):
+            trial = (cfg, centers, 0.2, iter([SeedSpec(1, stream).rng()]), stream)
+            with mock.patch.object(perceptron, "norm", wraps=norm) as spy:
+                record = experiments._trial_perceptron_tail(trial)
+            assert spy.call_count == 1
+            feasible += record["feasible"]
+        assert feasible >= 5   # so run_perceptron ran too
+
+    def test_one_norm_per_certified_run(self):
+        certified = []
+
+        def certify(inst, iteration_cap):
+            certified.append(_certified_infeasible(inst, iteration_cap))
+            return certified[-1]
+        with mock.patch.object(perceptron, "norm", wraps=norm) as spy, \
+                mock.patch.object(perceptron, "_certified_infeasible", certify):
+            inst = PerceptronInstance([[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]])
+            run = run_perceptron(inst, 10 ** 5)
+        assert run.status == "iteration_cap_reached" and certified == [True]
+        assert spy.call_count == 1
 
 
 def certificate_family(d, streams):
