@@ -663,16 +663,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
 
 
 def replay_rows(report_dict: dict) -> list:
-    """Recompute report rows from the per-trial records of a saved report;
-    missing or ill-typed fields raise InvalidInputError."""
+    """Recompute report rows from the per-trial records of a saved report, whose
+    config must pass a run's checks; malformed fields raise InvalidInputError."""
     if report_dict.get("per_trial") is None:
         raise InvalidInputError("report has no per-trial records; rerun with --per-trial")
     try:
         cfg = ExperimentConfig(**report_dict["config"])
+        _validate(cfg)
         return aggregate_rows(cfg, report_dict["per_trial"])
     except KeyError as exc:
         raise InvalidInputError(f"malformed report: missing or unknown key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, IndexError, ArithmeticError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed report: {exc}") from exc
 
 

@@ -125,23 +125,21 @@ def feasible_bases(lp: LinearProgram):
     """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
 
     Per chunk: one batched solve, a mask keeping A x - b <= FEAS_TOL, and one batched
-    SVD rank test of the feasible bases only; solve treats each basis on its own. A
-    chunk with an exactly singular basis fails that solve and is rank-tested first.
+    SVD rank test of the feasible bases only; solve treats each basis on its own. If
+    it raises, slogdet, which runs solve's own LU, first drops the bases it rejects.
     """
     scaled = _unit_peak_rows(lp.A)
     for idx in basis_chunks(lp.n, lp.d):
-        ranked = False
         try:
             x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
         except np.linalg.LinAlgError:
-            ranked = True
-            idx = idx[_independent(np.linalg.svd(scaled[idx], compute_uv=False))]
+            with np.errstate(divide="ignore"):   # log of a zero pivot; only the sign is read
+                idx = idx[np.linalg.slogdet(lp.A[idx])[0] != 0]
             x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
         # stacked matvec: the same rounding as lp.A @ x on each point
         with np.errstate(over="ignore", invalid="ignore"):   # near-singular bases: huge x
             keep = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
-        if not ranked:
-            keep[keep] = _independent(np.linalg.svd(scaled[idx[keep]], compute_uv=False))
+        keep[keep] = _independent(np.linalg.svd(scaled[idx[keep]], compute_uv=False))
         yield idx[keep], x[keep]
 
 
@@ -302,10 +300,10 @@ def shadow_polygon(rows, plane_t, plane_z) -> ShadowPolygon:
     q = plane_basis(plane_t, plane_z)
     if q.shape[0] != a.shape[1]:
         raise InvalidInputError("plane and constraint dimensions disagree")
-    dirs = recession_directions(a)
+    lp = LinearProgram(a, np.ones(a.shape[0]), np.zeros(a.shape[1]))
+    dirs = recession_directions(lp.A)
     if len(dirs) and np.max(np.linalg.norm(dirs @ q, axis=1)) > 1e-9:
         raise UnboundedShadowError("polytope is unbounded in the plane directions")
-    lp = LinearProgram(a, np.ones(a.shape[0]), np.zeros(a.shape[1]))
     verts = enumerate_vertices(lp)
     if not verts:
         raise UnboundedShadowError("polytope has no vertices to project")

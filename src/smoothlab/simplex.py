@@ -12,10 +12,9 @@ Phase I is deliberately not the randomized construction the theory analyzes:
 it is a brute-force scan for the first feasible basis in canonical order,
 with t = sum of that basis's constraint normals (which certifies optimality
 of the start vertex for t), scanned in batched chunks by polytope.feasible_bases:
-solve, feasibility mask, then rank test on the feasible bases (rank test first in
-a chunk with an exactly singular basis). The pivot walk does not use that scan, so
-it stays independent of the oracle. Reported step counts are Phase II pivots only.
-Every outcome, Phase I failures included, is one PivotTrace.
+solve, feasibility mask, then rank test on the feasible bases. The pivot walk does
+not use that scan, so it stays independent of the oracle. Reported step counts are
+Phase II pivots only. Every outcome, Phase I failures included, is one PivotTrace.
 """
 
 from __future__ import annotations

@@ -101,6 +101,21 @@ SIGMA_RANGE_CASES = [
 ]
 
 
+TAIL_MATRIX_FLAGS = ["tail-matrix", "--d", "2", "--threshold", "2", "--trials", "3"]
+PROFILE_FLAGS = ["smoothed-profile", "--n", "6", "--d", "2", "--trials", "2"]
+# flags a run refuses before any trial, and the one error line for each
+REFUSED_CONFIGS = [
+    (TAIL_MATRIX_FLAGS + ["--sigma", "nan"], "sigma values must be finite and nonnegative"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "inf"], "sigma values must be finite and nonnegative"),
+    (PROFILE_FLAGS + ["--sigma", "nan"], "sigma values must be finite and nonnegative"),
+    (PROFILE_FLAGS + ["--sigma", "0", "inf"], "sigma values must be finite and nonnegative"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--seed", "-1"],
+     "master_seed must be a 64-bit unsigned integer"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--seed", str(2 ** 64)],
+     "master_seed must be a 64-bit unsigned integer"),
+]
+
+
 class TestExitCodes:
     def test_out_of_regime_is_2(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -130,6 +145,15 @@ class TestExitCodes:
         out = tmp_path / "r.csv"
         assert run(["tail-rademacher", "--d", "5", "--threshold", "2",
                     "--exhaustive", "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("argv, message", REFUSED_CONFIGS,
+                             ids=[" ".join(argv[-2:]) for argv, _ in REFUSED_CONFIGS])
+    def test_refused_config_is_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 # every experiment command taking --sigma, and how it ends at sigma 1e200 where
@@ -453,6 +477,8 @@ class TestFixtureCommands:
         ("0 2\n", "malformed instance file: n and d must be at least 1 (header 0 2)"),
         ("2 0\n", "malformed instance file: n and d must be at least 1 (header 2 0)"),
         ("1 2\n1.5e308 1.5e308\n", "every point's norm must be finite"),
+        ("2 2\n1 nan\n1 1\n", "points must be a finite n x d array"),
+        ("2 2\n1 1\n-inf 1\n", "points must be a finite n x d array"),
     ])
     def test_run_perceptron_bad_instance(self, tmp_path, capsys, text, message):
         inst = tmp_path / "p.inst"
@@ -511,6 +537,26 @@ class TestFixtureCommands:
         assert (tmp_path / "r.csv").exists()
 
 
+REPLAYED = {
+    "tail-rademacher": ["tail-rademacher", "--d", "2", "--threshold", "2", "--exhaustive"],
+    "submatrix-lemma": ["submatrix-lemma", "--n", "6", "--d", "3", "--sigma", "0.1",
+                        "--trials", "5", "--center", "box"],
+    "smoothed-profile": ["smoothed-profile", "--n", "6", "--d", "2", "--sigma", "0",
+                         "--trials", "3"],
+}
+# (command, key path into its report, the value put there, the message of its replay)
+MALFORMED_REPORTS = [
+    ("tail-rademacher", ("per_trial",), [], "list index out of range"),
+    ("submatrix-lemma", ("per_trial", 0, "sums"), [], "division by zero"),
+    ("smoothed-profile", ("per_trial", 0, "records"), [], "division by zero"),
+    ("submatrix-lemma", ("config", "n"), 0, "n must be at least 1"),
+    ("tail-rademacher", ("config", "thresholds"), [0], "thresholds must be finite and positive"),
+    ("tail-rademacher", ("config", "trials"), "abc",
+     "'<' not supported between instances of 'str' and 'int'"),
+    ("smoothed-profile", ("config", "measure"), "bogus", "unknown profile measure: bogus"),
+]
+
+
 class TestVerifyReport:
     def make_report(self, tmp_path):
         out = tmp_path / "r.json"
@@ -545,6 +591,32 @@ class TestVerifyReport:
         assert run(["verify-report", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not a JSON report: ") and err.count("\n") == 1
+
+    def test_json_array_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "r.json"
+        bad.write_text("[1, 2]\n")
+        assert run(["verify-report", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not a JSON report: top level is not an object\n")
+
+    @pytest.mark.parametrize("command, path, value, message", MALFORMED_REPORTS,
+                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _, _ in
+                                  MALFORMED_REPORTS])
+    def test_malformed_report_is_one_line_error(self, tmp_path, capsys, command, path, value,
+                                                message):
+        out = tmp_path / "r.json"
+        assert run([*REPLAYED[command], "--format", "json", "--per-trial",
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify-report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: malformed report: {message}\n")
 
     def test_block_without_values_is_one_line_error(self, tmp_path, capsys):
         out = self.make_report(tmp_path)
@@ -717,3 +789,30 @@ class TestOutput:
     def test_out_is_a_directory(self, tmp_path):
         assert run(self.ARGS + ["--out", str(tmp_path)]) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def readme_commands():
+    """The argv of each `smoothlab ...` line in README.md's sh blocks, continuations joined."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [ln.split()[1:] for ln in lines if ln.startswith("smoothlab ")]
+
+
+README_RUNS = [argv for argv in readme_commands()
+               if argv[0] in KIND_BY_COMMAND or argv[0] == "verify-report"]
+
+
+class TestReadmeExamples:
+    def test_every_experiment_is_run(self):
+        assert {argv[0] for argv in README_RUNS} == set(KIND_BY_COMMAND) | {"verify-report"}
+
+    def test_examples_run(self, tmp_path, monkeypatch, capsys):
+        # in order, in one directory, so verify-report reads the report written before it
+        monkeypatch.chdir(tmp_path)
+        for argv in README_RUNS:
+            assert run(argv) == 0, argv
+            if argv[0] == "verify-report":
+                assert capsys.readouterr().out == "replay ok\n"
+            else:
+                assert (tmp_path / argv[argv.index("--out") + 1]).exists(), argv

@@ -82,6 +82,8 @@ class TestConfig:
                              thresholds=(1.0,), trials=0),
             ExperimentConfig(kind="matrix_tail", d=3, sigma_grid=(-1.0,),
                              thresholds=(1.0,), trials=5),
+            ExperimentConfig(kind="smoothed_profile", n=4, d=2, sigma_grid=(0.1,),
+                             measure="bogus"),
         ]
         for cfg in bad:
             with pytest.raises(ConfigError):

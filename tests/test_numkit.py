@@ -17,6 +17,7 @@ from smoothlab.numkit import (
     norm,
     operator_norm,
     parse_table,
+    span_basis,
 )
 from smoothlab.perturb import SeedSpec
 
@@ -67,6 +68,31 @@ class TestInverseNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInputError):
             inverse_norm(np.ones((2, 3)))
+
+
+# each input check of numkit, and its message
+BAD_INPUTS = [
+    (operator_norm, np.ones(3), "expected a nonempty 2-d matrix"),
+    (operator_norm, np.ones((2, 2, 2)), "expected a nonempty 2-d matrix"),
+    (operator_norm, np.zeros((0, 2)), "expected a nonempty 2-d matrix"),
+    (condition_number, np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+    (condition_number, np.ones((2, 3)), "condition_number requires a square matrix"),
+    (span_basis, [np.ones((2, 2))], "expected a nonempty 1-d vector"),
+    (span_basis, [np.zeros(0)], "expected a nonempty 1-d vector"),
+    (span_basis, [[1.0, np.inf]], "vector entries must be finite"),
+    (span_basis, [[1.0, 0.0], [1.0, 0.0, 0.0]], "all vectors must share the same dimension"),
+    (height, [], "height requires at least one vector"),
+    (height, [[1.0, 0.0], [0.0, 1.0, 0.0]], "height requires exactly d vectors of dimension d"),
+    (height, [[1.0, np.nan], [0.0, 1.0]], "vector entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("fn, arg, message", BAD_INPUTS,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(BAD_INPUTS)])
+def test_input_checks(fn, arg, message):
+    with pytest.raises(InvalidInputError) as exc:
+        fn(arg)
+    assert str(exc.value) == message
 
 
 class TestInverseNorms:

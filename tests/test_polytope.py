@@ -1,6 +1,7 @@
 import math
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from smoothlab.errors import (
     SizeLimitError,
     UnboundedShadowError,
 )
+from smoothlab.experiments import ExperimentConfig, point_centers
 from smoothlab.polytope import (
     BASIS_CHUNK,
     COINCIDENT_TOL,
@@ -22,9 +24,13 @@ from smoothlab.polytope import (
     DegeneracyWarning,
     LinearProgram,
     PolytopeVertex,
+    _independent,
+    _unit_peak_rows,
+    basis_chunks,
     brute_force_optimum,
     convex_hull_2d,
     enumerate_vertices,
+    feasible_bases,
     improving_ray,
     is_feasible,
     parse_lp,
@@ -325,17 +331,101 @@ def near_singular_lps(draw):
     return LinearProgram(np.array(rows), np.array(rhs), z)
 
 
+def assert_scan_and_feasibility(lp):
+    assert_scan_matches_loop(lp)
+    has_vertex = loop_initial(lp) is not None
+    s = np.linalg.svd(lp.A, compute_uv=False)
+    if s[-1] > 1e-6 * s[0]:   # full column rank: nonempty iff some basis is feasible
+        assert is_feasible(lp) == has_vertex
+    else:
+        assert is_feasible(lp) or not has_vertex
+
+
+def solve_raises(m):
+    try:
+        np.linalg.solve(m, np.ones(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 class TestScanProperties:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(near_singular_lps())
     def test_scan_matches_loop(self, lp):
+        assert_scan_and_feasibility(lp)
+
+    @pytest.mark.parametrize("center", ["box", "stretched", "ones"])
+    @pytest.mark.parametrize("n, d", [(12, 3), (20, 4)])
+    def test_unperturbed_centers(self, n, d, center):
+        # the sigma = 0 profile LPs, whose repeated rows fail every chunk's batched solve
+        rows = point_centers(ExperimentConfig(kind="smoothed_profile", n=n, d=d,
+                                              center_source=center))
+        lp = LinearProgram(rows, np.ones(n), np.ones(d) / math.sqrt(d))
+        assert all(solve_raises(lp.A[idx]) for idx in basis_chunks(n, d))
+        assert_scan_and_feasibility(lp)
+
+
+def singular_candidates(rng, d):
+    """Square matrices of size d, many of them exactly singular."""
+    signed = np.vstack([np.eye(d), -np.eye(d)])
+    out = [signed[list(idx)] for idx in combinations(range(2 * d), d)]   # +-e_k bases
+    for _ in range(40):
+        g = rng.standard_normal((d, d))
+        i, j = rng.choice(d, 2, replace=False)
+        copy = g.copy()
+        copy[i] = rng.choice([1.0, -1.0, 2.0, -0.5]) * g[j]   # duplicated rows
+        zero = g.copy()
+        zero[i] = 0.0
+        r = int(rng.integers(1, d))
+        product = rng.standard_normal((d, r)) @ rng.standard_normal((r, d))
+        ints = rng.integers(-2, 3, (d, r)).astype(float) @ rng.integers(-2, 3, (r, d))
+        out += [g, copy, zero, product, ints]
+    scale = 10.0 ** rng.choice([-300.0, 0.0, 300.0], size=(len(out), d))
+    return np.array(out + [m * s[:, None] for m, s in zip(out, scale)])
+
+
+class TestSingularBasesDropped:
+    """A chunk whose batched solve raises drops the bases of slogdet sign 0 first."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_slogdet_sign_zero_is_solve_rejecting(self, d):
+        stack = singular_candidates(np.random.default_rng(d), d)
+        with np.errstate(divide="ignore"):   # some LUs of rows near 1e-300 end in a 0 pivot
+            sign = np.linalg.slogdet(stack)[0]
+        rejected = np.array([solve_raises(m) for m in stack])
+        assert np.array_equal(sign == 0, rejected)
+        assert 50 < rejected.sum() < len(stack) - 50
+        np.linalg.solve(stack[~rejected], np.ones((len(stack) - rejected.sum(), d, 1)))
+        # no basis solve rejects passes the rank test, so dropping them first loses none
+        s = np.linalg.svd(_unit_peak_rows(stack[rejected]), compute_uv=False)
+        assert not _independent(s).any()
+
+    def test_zero_pivot_that_solve_accepts_is_quiet(self):
+        # rows 0-2 are a rank-one product with row 0 scaled by 1e-300: some LAPACKs end
+        # their LU in a pivot of 0 without solve raising, and slogdet then takes log(0).
+        # Row 3 repeats row 1, so the chunk's solve raises.
+        rows = np.array([[3.1250000000000004e-300, 1.875e-300, -3.75e-300],
+                         [-1.25, -0.75, 1.5], [-3.75, -2.25, 4.5]])
+        lp = LinearProgram(np.vstack([rows, rows[1]]), np.ones(4), np.ones(3))
+        assert solve_raises(lp.A[[1, 2, 3]]) and not solve_raises(rows)
         assert_scan_matches_loop(lp)
-        has_vertex = loop_initial(lp) is not None
-        s = np.linalg.svd(lp.A, compute_uv=False)
-        if s[-1] > 1e-6 * s[0]:   # full column rank: nonempty iff some basis is feasible
-            assert is_feasible(lp) == has_vertex
-        else:
-            assert is_feasible(lp) or not has_vertex
+
+    def test_rank_test_sees_feasible_bases_only(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((14, 3))
+        a[1] = a[0]   # bases (0, 1, k) are exactly singular: chunk 0's solve raises
+        lp = LinearProgram(a, np.ones(14), np.ones(3))
+        chunks = list(basis_chunks(lp.n, lp.d))
+        assert [solve_raises(lp.A[idx]) for idx in chunks] == [True, False]
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            list(feasible_bases(lp))
+        assert svd.call_count == len(chunks)
+        for idx, call in zip(chunks, svd.call_args_list):
+            feasible = [basis for basis in idx if not solve_raises(lp.A[basis]) and np.all(
+                lp.A @ np.linalg.solve(lp.A[basis], lp.b[basis]) - lp.b <= FEAS_TOL)]
+            assert 0 < len(feasible) < len(idx) // 4
+            assert np.array_equal(call.args[0], _unit_peak_rows(lp.A)[feasible])
 
 
 # --------------------------------------------------------------------------
@@ -502,6 +592,22 @@ class TestShadowPolygon:
     def test_unbounded_errors(self):
         with pytest.raises(UnboundedShadowError):
             shadow_polygon(np.array([[1.0, 0.0]]), [1.0, 0.0], [0.0, 1.0])
+
+    def test_unbounded_off_the_plane_has_no_vertices(self):
+        # the rays +-e3 project to 0, so the shadow is bounded, but no vertex exists
+        rows = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
+        with pytest.raises(UnboundedShadowError, match="polytope has no vertices to project"):
+            shadow_polygon(rows, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("row, message", [
+        ([np.nan, 1.0], "LP data must be finite"),
+        ([1.5e308, 1.5e308], "constraint row norms must be finite"),   # norm 2.1e308
+    ])
+    def test_rows_are_validated_before_the_rays(self, row, message):
+        rows = np.vstack([BOX2.A, row])
+        with pytest.raises(InvalidInputError) as exc:
+            shadow_polygon(rows, [1.0, 0.0], [0.0, 1.0])
+        assert str(exc.value) == message
 
 
 class TestShadowSizeBound:

@@ -70,6 +70,19 @@ class TestStartValidation:
         with pytest.raises(InvalidStartError):
             shadow_pivot_walk(BOX2, start, np.array([1.0, 1.0]))
 
+    def test_dependent_tight_rows(self):
+        start = PolytopeVertex(point=np.array([1.0, 0.0]), tight_set=(0, 2))
+        with pytest.raises(InvalidStartError, match="tight-set rows are linearly dependent"):
+            shadow_pivot_walk(BOX2, start, np.array([1.0, 1.0]))
+
+    def test_infeasible_start(self):
+        # (1, 1) is tight on rows 0 and 1 but breaks x + y >= 3
+        lp = LinearProgram(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                           np.array([1.0, 1.0, -3.0]), np.array([1.0, 1.0]))
+        start = PolytopeVertex(point=np.array([1.0, 1.0]), tight_set=(0, 1))
+        with pytest.raises(InvalidStartError, match="start point is infeasible"):
+            shadow_pivot_walk(lp, start, np.array([1.0, 1.0]))
+
     def test_not_t_optimal(self):
         start = PolytopeVertex(point=np.array([-1.0, -1.0]), tight_set=(2, 3))
         with pytest.raises(InvalidStartError):
