@@ -46,6 +46,8 @@ MATRIX_CENTERS = ("zero", "ones")   # the built-in centers tail-matrix takes
 SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
 MEASURES = ("simplex_pivots", "perceptron_iterations")
+FIELD_TYPES = {"kind": str, "n": int, "d": int, "trials": int, "master_seed": int,
+               "center_source": str, "exhaustive": bool, "rule": str, "measure": str}
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,10 @@ class Report:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for name, want in FIELD_TYPES.items():   # a replayed config is JSON from outside
+        value = getattr(cfg, name)
+        if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+            raise ConfigError(f"{name} must be of type {want.__name__}, not {type(value).__name__}")
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind: {cfg.kind}")
     fields = KINDS[cfg.kind].fields

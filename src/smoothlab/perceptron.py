@@ -135,16 +135,6 @@ def wiggle_room(inst: PerceptronInstance) -> float:
     return 0.0 if nu <= HULL_TOL else nu
 
 
-def wiggle_room_grid(inst: PerceptronInstance, directions: int = 100000) -> float:
-    """Independent d=2 oracle: dense sweep of unit directions."""
-    if inst.d != 2:
-        raise InvalidInputError("grid oracle is for d = 2 only")
-    angles = 2.0 * math.pi * np.arange(directions) / directions
-    xs = np.column_stack([np.cos(angles), np.sin(angles)])
-    margins = (inst.normalized() @ xs.T).min(axis=0)
-    return float(margins.max())
-
-
 def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
                    rule: str = "lowest_index") -> PerceptronRun:
     """The update loop: start at 0, add a normalized violated point until

@@ -26,10 +26,6 @@ from .errors import InvalidInputError, StreamMismatchError
 from .numkit import norm
 
 
-class RegimeWarning(UserWarning):
-    """Sampled outside the hypothesis regime of the bound under test."""
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     master_seed: int

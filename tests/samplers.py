@@ -10,7 +10,11 @@ import warnings
 import numpy as np
 
 from smoothlab.errors import InvalidInputError
-from smoothlab.perturb import RegimeWarning, SeedSpec, _check_sigma, regime_notes
+from smoothlab.perturb import SeedSpec, _check_sigma, regime_notes
+
+
+class RegimeWarning(UserWarning):
+    """Sampled outside the hypothesis regime of the bound under test."""
 
 
 def gaussian_matrix(center, sigma: float, seed: SeedSpec) -> np.ndarray:

@@ -551,8 +551,10 @@ MALFORMED_REPORTS = [
     ("smoothed-profile", ("per_trial", 0, "records"), [], "division by zero"),
     ("submatrix-lemma", ("config", "n"), 0, "n must be at least 1"),
     ("tail-rademacher", ("config", "thresholds"), [0], "thresholds must be finite and positive"),
-    ("tail-rademacher", ("config", "trials"), "abc",
-     "'<' not supported between instances of 'str' and 'int'"),
+    ("tail-rademacher", ("config", "trials"), "abc", "trials must be of type int, not str"),
+    ("submatrix-lemma", ("config", "trials"), 2.5, "trials must be of type int, not float"),
+    ("smoothed-profile", ("config", "trials"), True, "trials must be of type int, not bool"),
+    ("submatrix-lemma", ("config", "d"), "3", "d must be of type int, not str"),
     ("smoothed-profile", ("config", "measure"), "bogus", "unknown profile measure: bogus"),
 ]
 

@@ -30,12 +30,12 @@ from smoothlab.experiments import (
     verify_replay,
 )
 from smoothlab.numkit import inverse_norm
-from smoothlab.perturb import RegimeWarning, SeedSpec
+from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json
 from smoothlab.simplex import solve
 
-from samplers import gaussian_matrix, gaussian_points, rademacher_matrix
+from samplers import RegimeWarning, gaussian_matrix, gaussian_points, rademacher_matrix
 
 
 def roundtrip(report, per_trial=True):

@@ -21,11 +21,11 @@ from smoothlab.perceptron import (
     parse_instance,
     run_perceptron,
     wiggle_room,
-    wiggle_room_grid,
     _certified_infeasible,
 )
 from smoothlab.perturb import SeedSpec, smoothed_input
 
+from oracles import wiggle_room_grid
 from samplers import gaussian_points
 
 RULES = ("lowest_index", "most_violated")
@@ -242,7 +242,7 @@ class TestLoopMatchesReference:
                 for rule in RULES:
                     assert_same_run(inst, 3000, rule)
 
-    @pytest.mark.filterwarnings("ignore::smoothlab.perturb.RegimeWarning")
+    @pytest.mark.filterwarnings("ignore::samplers.RegimeWarning")
     def test_tail_perceptron_ones_at_iteration_bound(self):
         cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
                                center_source="ones")
@@ -429,7 +429,7 @@ class TestNormalizedOnce:
             assert inst.normalized().tobytes() == want.tobytes()
             assert inst.norms.tobytes() == norm(inst.points, axis=1).tobytes()
 
-    @pytest.mark.filterwarnings("ignore::smoothlab.perturb.RegimeWarning")
+    @pytest.mark.filterwarnings("ignore::samplers.RegimeWarning")
     def test_one_norm_per_tail_trial(self):
         cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
                                thresholds=(2.0,), center_source="ones")

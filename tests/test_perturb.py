@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError, StreamMismatchError
 from smoothlab.experiments import ExperimentConfig, run_experiment
 from smoothlab.perturb import (
-    RegimeWarning,
     SeedSpec,
     block_streams,
     regime_notes,
@@ -18,7 +18,7 @@ from smoothlab.perturb import (
     variance_regime_note,
 )
 
-from samplers import gaussian_matrix, gaussian_points, rademacher_matrix
+from samplers import RegimeWarning, gaussian_matrix, gaussian_points, rademacher_matrix
 
 
 class TestSeedSpec:
@@ -213,11 +213,15 @@ class TestRegime:
             gaussian_points(np.zeros((8, 3)), 1.0, SeedSpec(0))
 
     def test_gaussian_points_silent_in_regime(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeWarning)
             gaussian_points(np.zeros((8, 3)), 0.1, SeedSpec(0))
+
+    def test_ini_filter_makes_regime_warnings_errors(self):
+        # pyproject.toml's error::samplers.RegimeWarning, whose module pytest
+        # imports from the tests directory on its pythonpath
+        with pytest.raises(RegimeWarning):
+            warnings.warn("out of regime", RegimeWarning)
 
 
 class TestRademacher:
