@@ -13,6 +13,7 @@ import sys
 
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
 from .experiments import (
+    BUILTIN_CENTERS,
     KINDS,
     MEASURES,
     ExperimentConfig,
@@ -67,6 +68,9 @@ _SWITCH_VALUES = {"true": True, "yes": True, "on": True, "1": True,
 def _flags(command: str) -> dict:
     kind = KINDS[KIND_BY_COMMAND[command]]
     centers = " | ".join(kind.centers + ("FILE",))
+    if kind.center_set:
+        centers = (f"{' | '.join(BUILTIN_CENTERS)} (any of these runs "
+                   f"{', '.join(kind.centers[:-1])} and {kind.centers[-1]}) | FILE")
     return {flag: dict(spec, help=centers) if flag == "--center" else spec
             for flag, spec in FLAGS.items()
             if spec.get("dest", flag[2:].replace("-", "_")) in kind.fields + RUN_OPTIONS}

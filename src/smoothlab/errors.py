@@ -41,5 +41,9 @@ class StreamMismatchError(SmoothlabError):
     """Bulk seed-stream derivation disagrees with numpy's own seeding."""
 
 
+class LapackMismatchError(SmoothlabError):
+    """numpy's stacked least-squares solver is missing or disagrees with np.linalg.lstsq."""
+
+
 class InfeasibleMarginError(SmoothlabError):
     """Margin is nonpositive, so the iteration bound is undefined."""

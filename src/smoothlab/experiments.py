@@ -27,7 +27,7 @@ from .perceptron import (
     blum_dunagan_tail,
     iteration_bound,
     run_perceptron,
-    wiggle_room,
+    wiggle_rooms,
 )
 from .perturb import block_streams, regime_notes, smoothed_input, variance_regime_note
 from .polytope import (
@@ -43,6 +43,7 @@ from .simplex import solve
 
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
 MATRIX_CENTERS = ("zero", "ones")   # the built-in centers tail-matrix takes
+PROFILE_CENTERS = ("box", "stretched", "ones")   # what any built-in smoothed-profile center runs
 SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
 MEASURES = ("simplex_pivots", "perceptron_iterations")
@@ -190,6 +191,10 @@ BLOCK_TRIALS = 1024      # trials per block of the kinds batched into one SVD
 # Loop kinds spend milliseconds per trial, so small blocks cost nothing and
 # let --jobs split runs of a few dozen trials.
 LOOP_BLOCK_TRIALS = 16
+# tail-perceptron runs a block's Wolfe min-norm points in lockstep, which pays
+# per step rather than per trial: 64 trials per block give most of the speed
+# of 256 for about a quarter of its extra memory (see CHANGES.md).
+WOLFE_BLOCK_TRIALS = 64
 
 
 def _block_matrix_tail(args):
@@ -221,6 +226,25 @@ def _block_submatrix(args):
         sums.append(sum(int(np.count_nonzero(inverse_norm(pts[idx].transpose(0, 2, 1)) >= tau))
                         for idx in chunks))
     return sums
+
+
+def _block_perceptron_tail(args):
+    """Trial s draws its points from stream s; the block's margins come from
+    one stacked Wolfe run, then each feasible trial runs the update loop."""
+    cfg, centers, sigma, first, count = args
+    insts = [PerceptronInstance(centers + sigma * rng.standard_normal(centers.shape))
+             for rng in block_streams(cfg.master_seed, first, count)]
+    records = []
+    for inst, nu in zip(insts, wiggle_rooms(insts)):
+        if nu <= 0.0:
+            records.append({"nu": 0.0, "feasible": False, "iterations": None,
+                            "bound": None, "within": None})
+            continue
+        bound = iteration_bound(nu)
+        run = run_perceptron(inst, iteration_cap=bound, rule=cfg.rule)
+        records.append({"nu": nu, "feasible": True, "iterations": run.iterations,
+                        "bound": bound, "within": bool(run.status == "solved")})
+    return records
 
 
 def _trial_shadow_size(args):
@@ -268,20 +292,6 @@ def _trial_simplex_pivots(args):
     return rec
 
 
-def _trial_perceptron_tail(args):
-    cfg, centers, sigma, streams, _ = args
-    pts = centers + sigma * next(streams).standard_normal(centers.shape)
-    inst = PerceptronInstance(pts)
-    nu = wiggle_room(inst)
-    if nu <= 0.0:
-        return {"nu": 0.0, "feasible": False, "iterations": None,
-                "bound": None, "within": None}
-    bound = iteration_bound(nu)
-    run = run_perceptron(inst, iteration_cap=bound, rule=cfg.rule)
-    return {"nu": nu, "feasible": True, "iterations": run.iterations,
-            "bound": bound, "within": bool(run.status == "solved")}
-
-
 def _trial_profile(args):
     cfg, center, sigma, streams, _ = args
     # the stream is taken even at sigma = 0, where nothing is drawn from it
@@ -322,10 +332,6 @@ def _block_shadow_size(args):
 
 def _block_simplex_pivots(args):
     return _each_trial(_trial_simplex_pivots, args, 2)   # rows, then the objective
-
-
-def _block_perceptron_tail(args):
-    return _each_trial(_trial_perceptron_tail, args)
 
 
 def _block_profile(args):
@@ -584,8 +590,7 @@ def profile_center_set(cfg: ExperimentConfig) -> list:
     """
     if cfg.center_source not in BUILTIN_CENTERS:
         return [("file", read_center_file(cfg, None))]
-    return [(src, point_centers(replace(cfg, center_source=src)))
-            for src in ("box", "stretched", "ones")]
+    return [(src, point_centers(replace(cfg, center_source=src))) for src in PROFILE_CENTERS]
 
 
 def _prepare_profile(cfg: ExperimentConfig):
@@ -613,6 +618,7 @@ class Kind:
     aggregate: Callable    # (cfg, per_trial) -> report rows, whose keys are the columns
     block_trials: int = LOOP_BLOCK_TRIALS
     centers: tuple = BUILTIN_CENTERS   # the built-in --center values, if it takes --center
+    center_set: bool = False   # every built-in --center value runs all of centers at once
 
 
 _SHARED_FIELDS = ("d", "trials", "master_seed")
@@ -632,11 +638,12 @@ KINDS = {
                            _prepare_points, aggregate_simplex_pivots),
     "perceptron_tail": Kind("tail-perceptron", _POINT_FIELDS + ("thresholds", "rule"),
                             _block_perceptron_tail, "records", _prepare_perceptron_tail,
-                            aggregate_perceptron_tail),
+                            aggregate_perceptron_tail, WOLFE_BLOCK_TRIALS),
     "submatrix_lemma": Kind("submatrix-lemma", _POINT_FIELDS, _block_submatrix, "sums",
                             _prepare_submatrix, aggregate_submatrix, BLOCK_TRIALS),
     "smoothed_profile": Kind("smoothed-profile", _POINT_FIELDS + ("measure",), _block_profile,
-                             "records", _prepare_profile, aggregate_profile),
+                             "records", _prepare_profile, aggregate_profile,
+                             centers=PROFILE_CENTERS, center_set=True),
 }
 
 

@@ -1,7 +1,9 @@
-"""src/ holds only what a command runs, and none of it leans on test code."""
+"""src/ holds only what a command runs, none of it leans on test code, and
+one guarded function holds its one private numpy dependency."""
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "smoothlab"
 TEST_ONLY = {"samplers", "oracles", "pytest", "hypothesis"}
@@ -40,6 +42,43 @@ def unreached(src: pathlib.Path = SRC) -> list:
                 todo += by_word.get(word, [])
     return sorted(q for q in nodes.keys() - reached
                   if q.split(".")[1] not in ("__all__", "__version__"))
+
+
+def private_lstsq_users(src: pathlib.Path = SRC) -> list:
+    """The top-level defs of the modules in src whose code names
+    numpy.linalg._umath_linalg, the stacked-lstsq gufunc that numpy keeps
+    private: as a name, an attribute, an import or a dotted string such as
+    getattr's. Module-level code is listed as `module.<module>`."""
+    users = set()
+    for mod, tree in parse_modules(src).items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                words = [getattr(sub, "id", None), getattr(sub, "attr", None),
+                         getattr(sub, "name", None), getattr(sub, "module", None)]
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                        and re.fullmatch(r"[\w.]+", sub.value):
+                    words.append(sub.value)
+                if any(isinstance(w, str) and "_umath_linalg" in w for w in words):
+                    is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    users.add(f"{mod}.{node.name if is_def else '<module>'}")
+    return sorted(users)
+
+
+def test_one_function_uses_the_private_lstsq_gufunc():
+    assert private_lstsq_users() == ["perceptron._stacked_lstsq"]
+
+
+def test_private_lstsq_users_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "def by_attribute():\n    return np.linalg._umath_linalg.lstsq\n"
+        "def by_getattr():\n    return getattr(np.linalg, '_umath_linalg')\n"
+        "def by_message():\n    return 'see numpy.linalg._umath_linalg for details'\n")
+    (tmp_path / "b.py").write_text(
+        "def by_import():\n    import numpy.linalg._umath_linalg as g\n    return g\n")
+    assert private_lstsq_users(tmp_path) == ["a.<module>", "a.by_attribute", "a.by_getattr",
+                                             "b.by_import"]
 
 
 def test_every_top_level_name_is_reached_from_cli_main():

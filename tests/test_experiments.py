@@ -17,6 +17,7 @@ from smoothlab.experiments import (
     ExperimentConfig,
     LOOP_BLOCK_TRIALS,
     MEASURES,
+    WOLFE_BLOCK_TRIALS,
     _block_matrix_tail,
     _block_perceptron_tail,
     _block_profile,
@@ -30,6 +31,7 @@ from smoothlab.experiments import (
     verify_replay,
 )
 from smoothlab.numkit import inverse_norm
+from smoothlab.perceptron import PerceptronInstance, iteration_bound, run_perceptron, wiggle_room
 from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json
@@ -312,6 +314,20 @@ def _trial_matrix_tail(args):   # reference: one stream, one inverse_norm
     return inverse_norm(m)
 
 
+def _trial_perceptron_tail(args):   # reference: one instance, its own Wolfe run, one loop
+    cfg, centers, sigma, streams, _ = args
+    pts = centers + sigma * next(streams).standard_normal(centers.shape)
+    inst = PerceptronInstance(pts)
+    nu = wiggle_room(inst)
+    if nu <= 0.0:
+        return {"nu": 0.0, "feasible": False, "iterations": None,
+                "bound": None, "within": None}
+    bound = iteration_bound(nu)
+    run = run_perceptron(inst, iteration_cap=bound, rule=cfg.rule)
+    return {"nu": nu, "feasible": True, "iterations": run.iterations,
+            "bound": bound, "within": bool(run.status == "solved")}
+
+
 def _trial_rademacher(args):
     cfg, stream = args
     m = rademacher_matrix(cfg.d, SeedSpec(cfg.master_seed, stream))
@@ -367,14 +383,14 @@ POINT_LOOP_KINDS = {   # kind: block worker, trial, streams per trial, sigma, co
                     dict(n=8, d=3, center_source="box")),
     "simplex_pivots": (_block_simplex_pivots, experiments._trial_simplex_pivots, 2, 0.1,
                        dict(n=6, d=2, center_source="box")),
-    "perceptron_tail": (_block_perceptron_tail, experiments._trial_perceptron_tail, 1, 0.2,
+    "perceptron_tail": (_block_perceptron_tail, _trial_perceptron_tail, 1, 0.2,
                         dict(n=6, d=2, thresholds=(2.0,), center_source="ones")),
 }
 
 
-def _assert_loop_blocks(block, trial, k, cfg, payload, sigma):
+def _assert_loop_blocks(block, trial, k, cfg, payload, sigma, blocks=LOOP_BLOCKS):
     seen = []
-    for first, count in LOOP_BLOCKS:
+    for first, count in blocks:
         got = block((cfg, payload, sigma, first, count))
         assert got == _loop_reference(trial, k, cfg, payload, sigma, first, count)
         seen += [json.dumps(r, sort_keys=True) for r in got]
@@ -428,6 +444,20 @@ class TestBlocksMatchLoops:
         cfg = ExperimentConfig(kind=kind, master_seed=seed, **fields)
         seen = _assert_loop_blocks(block, trial, k, cfg, point_centers(cfg), sigma)
         assert len(set(seen)) > 1
+
+    @pytest.mark.parametrize("center", ["ones", "zero"])
+    @pytest.mark.parametrize("seed", [3, 2 ** 64 - 1])
+    def test_perceptron_tail_wolfe_blocks(self, center, seed):
+        # the loop blocks, one full block of the stacked Wolfe run and one
+        # partial; at the zero center Wolfe drops points and trials are infeasible
+        cfg = ExperimentConfig(kind="perceptron_tail", n=6, d=2, thresholds=(2.0,),
+                               center_source=center, master_seed=seed)
+        blocks = LOOP_BLOCKS + ((WOLFE_BLOCK_TRIALS, WOLFE_BLOCK_TRIALS),
+                                (3 * WOLFE_BLOCK_TRIALS + 7, WOLFE_BLOCK_TRIALS - 19))
+        seen = _assert_loop_blocks(_block_perceptron_tail, _trial_perceptron_tail, 1, cfg,
+                                   point_centers(cfg), 0.2, blocks)
+        feasible = {json.loads(r)["feasible"] for r in seen}
+        assert feasible == ({True, False} if center == "zero" else {True})
 
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("sigma", [0.0, 0.1])

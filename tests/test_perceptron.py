@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smoothlab import experiments, perceptron
-from smoothlab.errors import InfeasibleMarginError, InvalidInputError, OutOfRegimeError
+from smoothlab.cli import cli_main
+from smoothlab.errors import (
+    InfeasibleMarginError,
+    InvalidInputError,
+    LapackMismatchError,
+    OutOfRegimeError,
+)
 from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
 from smoothlab.numkit import norm
 from smoothlab.perceptron import (
@@ -374,6 +381,7 @@ class TestWolfeMatchesReference:
         rng = np.random.default_rng(18)
         counts = {"drops": 0, "rank_deficient": 0}
         checked = duplicated = 0
+        by_shape = {}
         for src in self.CENTERS:
             for sigma in self.SIGMAS:
                 for _ in range(55):
@@ -388,10 +396,24 @@ class TestWolfeMatchesReference:
                     want_u, want_active = _reference_wolfe(pts, counts)
                     assert got_u.tobytes() == want_u.tobytes()
                     assert got_active == want_active
+                    by_shape.setdefault((n, d), []).append((pts, want_u, want_active))
                     checked += 1
         assert checked >= 1000
         assert duplicated >= 100
         assert counts["drops"] >= 100 and counts["rank_deficient"] >= 1
+        # the same instances stacked by shape, in shuffled order: each result
+        # is its own run's, whatever its neighbours in the stack
+        stacked = 0
+        for group in by_shape.values():
+            order = rng.permutation(len(group))
+            got_u, got_active = perceptron._wolfe_lockstep(
+                np.stack([group[i][0] for i in order]))
+            for u, active, i in zip(got_u, got_active, order):
+                assert u.tobytes() == group[i][1].tobytes()
+                assert active == group[i][2]
+                stacked += 1
+        assert stacked == checked
+        assert max(len(group) for group in by_shape.values()) >= 10
 
     def test_margin_is_the_norm_of_the_min_norm_point(self):
         rng = np.random.default_rng(19)
@@ -402,6 +424,41 @@ class TestWolfeMatchesReference:
             inst = PerceptronInstance(pts)
             want = float(np.linalg.norm(perceptron.min_norm_point(inst.normalized())))
             assert wiggle_room(inst) == want
+
+
+class TestLstsqGuard:
+    """A stacked lstsq gufunc that is missing or disagrees with np.linalg.lstsq
+    stops the run. np.linalg.lstsq keeps its own binding of the gufunc, so
+    replacing numpy.linalg._umath_linalg changes only the stacked solves."""
+
+    @pytest.fixture
+    def wrong_bits(self, monkeypatch):
+        gufunc = np.linalg._umath_linalg.lstsq
+
+        def lstsq(a, b, rcond, **kwargs):
+            x, *rest = gufunc(a, b, rcond, **kwargs)
+            return (np.nextafter(x, np.inf), *rest)
+        monkeypatch.setattr(np.linalg, "_umath_linalg", SimpleNamespace(lstsq=lstsq))
+
+    def test_wrong_bits_raise(self, wrong_bits):
+        with pytest.raises(LapackMismatchError, match="disagrees"):
+            perceptron.min_norm_point([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def test_missing_gufunc_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "_umath_linalg", SimpleNamespace())
+        with pytest.raises(LapackMismatchError, match="numpy >= 2.0"):
+            perceptron.min_norm_point([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def test_cli_exits_1_with_one_line_and_no_report(self, wrong_bits, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli_main(["tail-perceptron", "--n", "8", "--d", "3", "--sigma", "0.2",
+                         "--threshold", "2", "--trials", "20", "--center", "ones",
+                         "--format", "json", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "disagrees with np.linalg.lstsq" in captured.err
+        assert not out.exists()
 
 
 class TestNormalizedOnce:
@@ -432,16 +489,11 @@ class TestNormalizedOnce:
     @pytest.mark.filterwarnings("ignore::samplers.RegimeWarning")
     def test_one_norm_per_tail_trial(self):
         cfg = ExperimentConfig(kind="perceptron_tail", n=40, d=5, sigma_grid=(0.2,),
-                               thresholds=(2.0,), center_source="ones")
-        centers = point_centers(cfg)
-        feasible = 0
-        for stream in range(10):
-            trial = (cfg, centers, 0.2, iter([SeedSpec(1, stream).rng()]), stream)
-            with mock.patch.object(perceptron, "norm", wraps=norm) as spy:
-                record = experiments._trial_perceptron_tail(trial)
-            assert spy.call_count == 1
-            feasible += record["feasible"]
-        assert feasible >= 5   # so run_perceptron ran too
+                               thresholds=(2.0,), center_source="ones", master_seed=1)
+        with mock.patch.object(perceptron, "norm", wraps=norm) as spy:
+            records = experiments._block_perceptron_tail((cfg, point_centers(cfg), 0.2, 0, 10))
+        assert spy.call_count == 10
+        assert sum(r["feasible"] for r in records) >= 5   # so run_perceptron ran too
 
     def test_one_norm_per_certified_run(self):
         certified = []
