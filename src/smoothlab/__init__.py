@@ -1,9 +1,10 @@
 """smoothlab: perturbed-instance experiments for simplex walks, random-matrix
 condition numbers, and perceptron margins."""
 
-from . import errors, experiments, numkit, perceptron, perturb, polytope, simplex
+from . import bounds, errors, experiments, numkit, perceptron, perturb, polytope, simplex
 
 __all__ = [
+    "bounds",
     "errors",
     "experiments",
     "numkit",

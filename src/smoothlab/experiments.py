@@ -19,26 +19,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, OutOfRegimeError, SizeLimitError
+from . import bounds
+from .errors import ConfigError, InvalidInputError, SizeLimitError, UnboundedShadowError
 from .numkit import inverse_norm, norm, parse_table
-from .perceptron import (
-    RULES,
-    PerceptronInstance,
-    blum_dunagan_tail,
-    iteration_bound,
-    run_perceptron,
-    wiggle_rooms,
-)
-from .perturb import block_streams, regime_notes, smoothed_input, variance_regime_note
+from .perceptron import RULES, PerceptronInstance, run_perceptron, wiggle_rooms
+from .perturb import block_streams, smoothed_input
 from .polytope import (
     DegeneracyWarning,
     LinearProgram,
     basis_chunks,
     brute_force_optimum,
     shadow_polygon,
-    shadow_size_bound,
 )
-from .errors import UnboundedShadowError
 from .simplex import solve
 
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
@@ -217,7 +209,7 @@ def _block_rademacher(args):
 
 def _block_submatrix(args):
     cfg, centers, sigma, first, count = args
-    tau = sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)
+    tau = bounds.submatrix_bounds(cfg.n, cfg.d, sigma)[0]
     chunks = list(basis_chunks(cfg.n, cfg.d))
     sums = []
     for rng in block_streams(cfg.master_seed, first, count):
@@ -240,7 +232,7 @@ def _block_perceptron_tail(args):
             records.append({"nu": 0.0, "feasible": False, "iterations": None,
                             "bound": None, "within": None})
             continue
-        bound = iteration_bound(nu)
+        bound = bounds.iteration_bound(nu)
         run = run_perceptron(inst, iteration_cap=bound, rule=cfg.rule)
         records.append({"nu": nu, "feasible": True, "iterations": run.iterations,
                         "bound": bound, "within": bool(run.status == "solved")})
@@ -360,12 +352,10 @@ def _stderr(p: float, trials: int) -> float:
 
 def aggregate_matrix_tail(cfg: ExperimentConfig, per_trial: list) -> list:
     rows = []
-    sd = math.sqrt(cfg.d)
     for block in per_trial:
         sigma = float(block["sigma"])
         values = [float(v) for v in block["values"]]
         trials = len(values)
-        edelman_applicable = cfg.center_source == "zero" and sigma == 1.0
         for t in cfg.thresholds:
             p = _frac(sum(1 for v in values if v > t), trials)
             rows.append({
@@ -373,10 +363,7 @@ def aggregate_matrix_tail(cfg: ExperimentConfig, per_trial: list) -> list:
                 "threshold": t,
                 "empirical": p,
                 "stderr": _stderr(p, trials),
-                "bound_edelman": sd / t if edelman_applicable else None,
-                "bound_sst": 1.823 * sd / (t * sigma),
-                "bound_thm43": cfg.d ** 1.5 / (t * sigma),
-                "bound_conj1": sd / (t * sigma),
+                **bounds.matrix_tail_bounds(cfg.d, sigma, t, cfg.center_source == "zero"),
             })
     return rows
 
@@ -393,7 +380,7 @@ def aggregate_rademacher_tail(cfg: ExperimentConfig, per_trial: list) -> list:
             "threshold": t,
             "empirical": p,
             "stderr": _stderr(p, trials),
-            "bound_conjecture2": math.sqrt(cfg.d) / t,
+            "bound_conjecture2": bounds.conjecture2_bound(cfg.d, t),
             "bound_status": "conjectural",
             "singularity_freq": sfreq,
         })
@@ -413,7 +400,7 @@ def aggregate_shadow_size(cfg: ExperimentConfig, per_trial: list) -> list:
             "unbounded_trials": len(counts) - len(bounded),
             "mean_vertices": sum(bounded) / len(bounded) if bounded else None,
             "max_vertices": max(bounded) if bounded else None,
-            "bound_expected_vertices": shadow_size_bound(cfg.n, cfg.d, sigma),
+            "bound_expected_vertices": bounds.shadow_size_bound(cfg.n, cfg.d, sigma),
         })
     return rows
 
@@ -450,7 +437,7 @@ def aggregate_perceptron_tail(cfg: ExperimentConfig, per_trial: list) -> list:
         for t in cfg.thresholds:
             exceed = sum(1 for r in feas if r["nu"] > 0 and 1.0 / r["nu"] > t)
             p = _frac(exceed, len(feas))
-            raw = blum_dunagan_tail(cfg.n, cfg.d, sigma, t)
+            raw = bounds.blum_dunagan_tail(cfg.n, cfg.d, sigma, t)
             clamped = min(max(raw, 0.0), 1.0)
             vacuous = raw <= 0.0 or raw >= 1.0
             rows.append({
@@ -471,16 +458,15 @@ def aggregate_perceptron_tail(cfg: ExperimentConfig, per_trial: list) -> list:
 def aggregate_submatrix(cfg: ExperimentConfig, per_trial: list) -> list:
     rows = []
     n, d = cfg.n, cfg.d
-    rhs = math.ceil((n - d - 1) / 2) * math.comb(n, d - 1)
-    prob_bound = 1.0 - n ** (-d) - n ** (-n + d - 1) - n ** (-2.9 * d + 1)
     for block in per_trial:
         sigma = float(block["sigma"])
+        tau, rhs, prob_bound = bounds.submatrix_bounds(n, d, sigma)
         sums = [int(s) for s in block["sums"]]
         events = sum(1 for s in sums if d / 2 * s < rhs)
         rows.append({
             "sigma": sigma,
             "trials": len(sums),
-            "indicator_threshold": sigma ** 2 / (8.0 * d ** 1.5 * n ** 7),
+            "indicator_threshold": tau,
             "mean_indicator_sum": sum(sums) / len(sums),
             "lhs_mean": d / 2 * (sum(sums) / len(sums)),
             "rhs": rhs,
@@ -534,19 +520,20 @@ def _sigma_groups(cfg: ExperimentConfig, payload) -> list:
 
 
 def _prepare_points(cfg: ExperimentConfig):
-    """The kinds that perturb n point centers: one group per sigma."""
+    """The kinds that perturb n point centers: one group per sigma, after its regime gate."""
+    for sigma in cfg.sigma_grid:
+        KINDS[cfg.kind].gate(cfg.n, cfg.d, sigma)
     centers = point_centers(cfg)
     notes = [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
-             for m in regime_notes(centers, sigma)]
+             for m in bounds.regime_notes(norm(centers, axis=1), cfg.d, sigma)]
     return _sigma_groups(cfg, centers), notes
 
 
 def _prepare_matrix_tail(cfg: ExperimentConfig):
     groups = _sigma_groups(cfg, center_matrix(cfg))
-    notes = []
-    if any(s != 1.0 for s in cfg.sigma_grid) or cfg.center_source != "zero":
-        notes.append("bound_edelman applies only to zero center with sigma = 1")
-    return groups, notes
+    if all(bounds.edelman_applies(cfg.center_source == "zero", s) for s in cfg.sigma_grid):
+        return groups, []
+    return groups, ["bound_edelman applies only to zero center with sigma = 1"]
 
 
 def _prepare_rademacher(cfg: ExperimentConfig):
@@ -558,25 +545,10 @@ def _prepare_rademacher(cfg: ExperimentConfig):
     return [({}, None, trials)], ["Conjecture-2 bound is conjectural; measured, never asserted"]
 
 
-def _prepare_shadow_size(cfg: ExperimentConfig):
-    for sigma in cfg.sigma_grid:
-        shadow_size_bound(cfg.n, cfg.d, sigma)  # out-of-regime guard
-    return _prepare_points(cfg)
-
-
-def _prepare_perceptron_tail(cfg: ExperimentConfig):
-    for sigma in cfg.sigma_grid:
-        blum_dunagan_tail(cfg.n, cfg.d, sigma, cfg.thresholds[0])  # out-of-regime guard
-    return _prepare_points(cfg)
-
-
 def _prepare_submatrix(cfg: ExperimentConfig):
     if math.comb(cfg.n, cfg.d) > SUBMATRIX_BUDGET:
         raise SizeLimitError(
             f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
-    for sigma in cfg.sigma_grid:
-        if variance_regime_note(cfg.n, cfg.d, sigma):
-            raise OutOfRegimeError("submatrix lemma requires sigma^2 <= 1/(9 d log n)")
     groups, notes = _prepare_points(cfg)
     return groups, ["the stated inequality direction is evaluated literally; "
                     "both sides reported"] + notes
@@ -619,6 +591,7 @@ class Kind:
     block_trials: int = LOOP_BLOCK_TRIALS
     centers: tuple = BUILTIN_CENTERS   # the built-in --center values, if it takes --center
     center_set: bool = False   # every built-in --center value runs all of centers at once
+    gate: Callable = lambda n, d, sigma: None   # raises OutOfRegimeError outside the regime
 
 
 _SHARED_FIELDS = ("d", "trials", "master_seed")
@@ -633,14 +606,16 @@ KINDS = {
                             _block_rademacher, "values", _prepare_rademacher,
                             aggregate_rademacher_tail, BLOCK_TRIALS),
     "shadow_size": Kind("shadow-size", _POINT_FIELDS, _block_shadow_size, "counts",
-                        _prepare_shadow_size, aggregate_shadow_size),
+                        _prepare_points, aggregate_shadow_size, gate=bounds.shadow_size_bound),
     "simplex_pivots": Kind("simplex-pivots", _POINT_FIELDS, _block_simplex_pivots, "records",
                            _prepare_points, aggregate_simplex_pivots),
     "perceptron_tail": Kind("tail-perceptron", _POINT_FIELDS + ("thresholds", "rule"),
-                            _block_perceptron_tail, "records", _prepare_perceptron_tail,
-                            aggregate_perceptron_tail, WOLFE_BLOCK_TRIALS),
+                            _block_perceptron_tail, "records", _prepare_points,
+                            aggregate_perceptron_tail, WOLFE_BLOCK_TRIALS,
+                            gate=bounds.blum_dunagan_regime),
     "submatrix_lemma": Kind("submatrix-lemma", _POINT_FIELDS, _block_submatrix, "sums",
-                            _prepare_submatrix, aggregate_submatrix, BLOCK_TRIALS),
+                            _prepare_submatrix, aggregate_submatrix, BLOCK_TRIALS,
+                            gate=bounds.submatrix_regime),
     "smoothed_profile": Kind("smoothed-profile", _POINT_FIELDS + ("measure",), _block_profile,
                              "records", _prepare_profile, aggregate_profile,
                              centers=PROFILE_CENTERS, center_set=True),

@@ -1,4 +1,4 @@
-"""Perceptron feasibility solver, its margin, and the classic update bound.
+"""Perceptron feasibility solver and its margin.
 
 The margin nu of points a_1..a_n is the best worst-case normalized inner
 product over feasible directions. For strictly feasible instances it equals
@@ -21,12 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InfeasibleMarginError,
-    InvalidInputError,
-    LapackMismatchError,
-    OutOfRegimeError,
-)
+from .errors import InvalidInputError, LapackMismatchError
 from .numkit import norm, parse_table
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
@@ -348,28 +343,3 @@ def _exact_inverse(m: list) -> list | None:
                 a[r] = [t - f * s for t, s in zip(a[r], a[col])]
     return [row[k:] for row in a]
 
-
-def iteration_bound(nu: float) -> int:
-    """Worst-case update count ceil(1/nu^2) for margin nu > 0."""
-    if not (nu > 0):
-        raise InfeasibleMarginError("iteration bound requires a positive margin")
-    # tolerate float noise so e.g. nu = 1/sqrt(2) gives exactly 2
-    return math.ceil(1.0 / nu ** 2 - 1e-9)
-
-
-def blum_dunagan_tail(n: int, d: int, sigma: float, t: float) -> float:
-    """Literal margin tail bound (n d^1.5 / (sigma t)) * log(sigma t / d^1.5).
-
-    Valid only for sigma^2 strictly below 1/(2d). The value is returned
-    unclamped; reports clamp to [0, 1] and flag nonpositive-log points as
-    vacuous rather than guessing an intended form.
-    """
-    if n < 1 or d < 1:
-        raise InvalidInputError("n and d must be at least 1")
-    if not (t > 0):
-        raise InvalidInputError("t must be positive")
-    sigma = float(sigma)
-    if not (0 < sigma < 1 and sigma ** 2 < 1.0 / (2.0 * d)):   # sigma ** 2 under/overflows
-        raise OutOfRegimeError("bound requires sigma^2 < 1/(2d)")
-    ratio = sigma * t / d ** 1.5
-    return (n * d ** 1.5 / (sigma * t)) * math.log(ratio)

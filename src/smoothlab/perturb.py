@@ -141,41 +141,6 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def variance_regime_limit(n: int, d: int) -> float:
-    """Largest admissible sigma^2 for the shadow-size hypotheses, 1/(9 d log n)."""
-    if n < 2:
-        return math.inf
-    return 1.0 / (9.0 * d * math.log(n))
-
-
-def variance_regime_note(n: int, d: int, sigma: float) -> str | None:
-    """Why sigma^2 exceeds 1/(9 d log n), with relative slack 1e-12; None if
-    it does not. A square past the float range counts as infinite."""
-    try:
-        square = float(sigma) ** 2
-    except OverflowError:
-        square = math.inf
-    limit = variance_regime_limit(n, d)
-    if square > limit * (1.0 + 1e-12):
-        return f"sigma^2 = {square:.6g} exceeds the regime limit 1/(9 d log n) = {limit:.6g}"
-    return None
-
-
-def regime_notes(centers, sigma: float) -> list:
-    """Hypothesis-regime violations for Gaussian point perturbations.
-
-    Returns human-readable notes when some center has norm > 1 or sigma^2
-    exceeds the 1/(9 d log n) hypothesis. Pure, so experiment reports can
-    echo the notes without re-sampling.
-    """
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    n, d = c.shape
-    over = int(np.sum(norm(c, axis=1) > 1.0 + 1e-12))
-    notes = [f"{over} center(s) have norm > 1"] if over else []
-    note = variance_regime_note(n, d, sigma)
-    return notes + [note] if note else notes
-
-
 def smoothed_input(center_x, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Relative-magnitude perturbation x + sigma * ||x|| * g, g drawn from rng."""
     sigma = _check_sigma(sigma)

@@ -24,12 +24,10 @@ import numpy as np
 from .errors import (
     DegeneratePlaneError,
     InvalidInputError,
-    OutOfRegimeError,
     SizeLimitError,
     UnboundedShadowError,
 )
 from .numkit import norm, parse_table
-from .perturb import variance_regime_note
 
 MAX_BASES = 1_000_000
 FEAS_TOL = 1e-9          # absolute slack tolerance for feasibility/tightness
@@ -311,18 +309,3 @@ def shadow_polygon(rows, plane_t, plane_z) -> ShadowPolygon:
     hull, idx = convex_hull_2d(proj)
     return ShadowPolygon(basis=q, hull_points=hull, preimages=tuple(verts[i] for i in idx))
 
-
-def shadow_size_bound(n: int, d: int, sigma: float) -> float:
-    """The proven expected-shadow-size bound 58888678 * n * d^3 / sigma^6.
-
-    Only valid in its hypothesis regime (d >= 3, n > d, sigma^2 <= 1/(9 d log n));
-    anything else is an out-of-regime error so experiments never compare
-    against an inapplicable bound.
-    """
-    if d < 3 or n <= d:
-        raise OutOfRegimeError("bound requires d >= 3 and n > d")
-    sigma = float(sigma)
-    if not (sigma > 0) or variance_regime_note(n, d, sigma):
-        raise OutOfRegimeError("bound requires 0 < sigma^2 <= 1/(9 d log n)")
-    s6 = sigma ** 6
-    return 58888678.0 * n * d ** 3 / s6 if s6 else math.inf   # sigma^6 may underflow

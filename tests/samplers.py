@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 
 from smoothlab.errors import InvalidInputError
-from smoothlab.perturb import SeedSpec, _check_sigma, regime_notes
+from smoothlab.bounds import regime_notes
+from smoothlab.numkit import norm
+from smoothlab.perturb import SeedSpec, _check_sigma
 
 
 class RegimeWarning(UserWarning):
@@ -38,7 +40,7 @@ def gaussian_points(centers, sigma: float, seed: SeedSpec) -> np.ndarray:
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if c.ndim != 2 or not np.all(np.isfinite(c)):
         raise InvalidInputError("centers must be finite vectors of equal dimension")
-    for note in regime_notes(c, sigma):
+    for note in regime_notes(norm(c, axis=1), c.shape[1], sigma):
         warnings.warn(note, RegimeWarning, stacklevel=2)
     if sigma == 0.0:
         return c.copy()

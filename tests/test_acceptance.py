@@ -11,13 +11,13 @@ import math
 import numpy as np
 import pytest
 
+from smoothlab.bounds import iteration_bound
 from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError
 from smoothlab.experiments import ExperimentConfig, run_experiment, verify_replay
 from smoothlab.numkit import inverse_norm
 from smoothlab.perceptron import (
     PerceptronInstance,
-    iteration_bound,
     run_perceptron,
     wiggle_room,
 )

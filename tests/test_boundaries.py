@@ -1,5 +1,6 @@
-"""src/ holds only what a command runs, none of it leans on test code, and
-one guarded function holds its one private numpy dependency."""
+"""src/ holds only what a command runs, none of it leans on test code, one
+guarded function holds its one private numpy dependency, and every closed-form
+bound lives in `bounds`, apart from the code it is checked against."""
 
 import ast
 import pathlib
@@ -62,6 +63,58 @@ def private_lstsq_users(src: pathlib.Path = SRC) -> list:
                     is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     users.add(f"{mod}.{node.name if is_def else '<module>'}")
     return sorted(users)
+
+
+def imported(tree: ast.Module) -> set:
+    """The modules a module imports, relative ones with their leading dots."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names |= {base} if node.module else {base + alias.name for alias in node.names}
+    return names
+
+
+# the constants of the shadow bound and Sankar-Spielman-Teng's tail, and the
+# submatrix lemma's tau = sigma^2 / (8 d^1.5 n^7), however d is spelled
+BOUND_SPELLINGS = {
+    "58888678": lambda node: isinstance(node, ast.Constant) and node.value == 58888678,
+    "1.823": lambda node: isinstance(node, ast.Constant) and node.value == 1.823,
+    "8.0 * d ** 1.5": lambda node: isinstance(node, ast.BinOp) and re.fullmatch(
+        r"8\.0 \* ([\w.]+\.)?d \*\* 1\.5", ast.unparse(node)) is not None,
+}
+
+
+def bound_spellings(src: pathlib.Path = SRC) -> dict:
+    """For each of BOUND_SPELLINGS, the module of each place src writes it."""
+    trees = parse_modules(src)
+    return {name: sorted(mod for mod, tree in trees.items() for node in ast.walk(tree)
+                         if found(node))
+            for name, found in BOUND_SPELLINGS.items()}
+
+
+def test_bounds_imports_only_math_and_errors():
+    assert imported(parse_modules(SRC)["bounds"]) == {"__future__", "math", ".errors"}
+
+
+def test_each_bound_is_written_once_in_bounds():
+    assert bound_spellings() == {name: ["bounds"] for name in BOUND_SPELLINGS}
+
+
+def test_bound_spellings_sees_every_copy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def tau(cfg, sigma):\n    return sigma ** 2 / (8.0 * cfg.d ** 1.5 * cfg.n ** 7)\n"
+        "def sst(sd, t):\n    return 1.823 * sd / t\n")
+    (tmp_path / "b.py").write_text(
+        "TAU = 1 / (8.0 * d ** 1.5)\nSHADOW = 58888678.0\nNOT_TAU = 8.0 * dd ** 1.5\n")
+    assert bound_spellings(tmp_path) == {"58888678": ["b"], "1.823": ["a"],
+                                         "8.0 * d ** 1.5": ["a", "b"]}
+
+
+def test_polytope_does_not_import_perturb():
+    assert not {".perturb", "smoothlab.perturb"} & imported(parse_modules(SRC)["polytope"])
 
 
 def test_one_function_uses_the_private_lstsq_gufunc():

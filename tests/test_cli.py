@@ -100,6 +100,19 @@ SIGMA_RANGE_CASES = [
     ("submatrix-lemma", "1e300", 2, "submatrix lemma requires sigma^2 <= 1/(9 d log n)"),
 ]
 
+# sigma * t underflows to 0, so each bound takes its limit: inf, and the raw
+# Blum-Dunagan value -inf (a vacuous row). (argv, report cells)
+MATRIX_BOUNDS_INF = {"bound_edelman": "", "bound_sst": "inf", "bound_thm43": "inf",
+                     "bound_conj1": "inf"}
+UNDERFLOW_CASES = [
+    (["tail-matrix", "--d", "2", "--sigma", "1e-200", "--threshold", "1e-200"],
+     MATRIX_BOUNDS_INF),
+    (["tail-matrix", "--d", "2", "--sigma", "1e-300", "--threshold", "1e-30"],
+     MATRIX_BOUNDS_INF),
+    (["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "1e-200", "--threshold", "1e-200",
+      "--center", "ones"], {"bound_blum_dunagan": "0.0", "bound_raw": "-inf", "vacuous": "true"}),
+]
+
 
 TAIL_MATRIX_FLAGS = ["tail-matrix", "--d", "2", "--threshold", "2", "--trials", "3"]
 PROFILE_FLAGS = ["smoothed-profile", "--n", "6", "--d", "2", "--trials", "2"]
@@ -140,6 +153,16 @@ class TestExitCodes:
             header, row = out.read_text().splitlines()[1:]   # after the schema line
             cells = dict(zip(header.split(","), row.split(",")))
             assert err == "" and {k: cells[k] for k in expected} == expected
+
+    @pytest.mark.parametrize("argv, expected", UNDERFLOW_CASES,
+                             ids=[" ".join(argv[:1] + argv[-6:]) for argv, _ in UNDERFLOW_CASES])
+    def test_bound_at_an_underflowing_sigma_t_takes_its_limit(self, tmp_path, capsys, argv,
+                                                              expected):
+        out = tmp_path / "r.csv"
+        assert run([*argv, "--trials", "3", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()[1:]   # after the schema line
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert capsys.readouterr().err == "" and {k: cells[k] for k in expected} == expected
 
     def test_size_limit_is_3(self, tmp_path):
         out = tmp_path / "r.csv"

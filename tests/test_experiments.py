@@ -31,7 +31,8 @@ from smoothlab.experiments import (
     verify_replay,
 )
 from smoothlab.numkit import inverse_norm
-from smoothlab.perceptron import PerceptronInstance, iteration_bound, run_perceptron, wiggle_room
+from smoothlab.bounds import iteration_bound
+from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_room
 from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smoothlab import experiments, perceptron
+from smoothlab.bounds import blum_dunagan_tail, iteration_bound
 from smoothlab.cli import cli_main
 from smoothlab.errors import (
     InfeasibleMarginError,
@@ -23,8 +24,6 @@ from smoothlab.perceptron import (
     CERTIFY_STEP,
     PerceptronInstance,
     PerceptronRun,
-    blum_dunagan_tail,
-    iteration_bound,
     parse_instance,
     run_perceptron,
     wiggle_room,

@@ -6,17 +6,12 @@ import numpy as np
 import pytest
 
 from smoothlab import perturb
+from smoothlab.bounds import regime_notes, variance_regime_limit, variance_regime_note
 from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError, StreamMismatchError
 from smoothlab.experiments import ExperimentConfig, run_experiment
-from smoothlab.perturb import (
-    SeedSpec,
-    block_streams,
-    regime_notes,
-    smoothed_input,
-    variance_regime_limit,
-    variance_regime_note,
-)
+from smoothlab.numkit import norm
+from smoothlab.perturb import SeedSpec, block_streams, smoothed_input
 
 from samplers import RegimeWarning, gaussian_matrix, gaussian_points, rademacher_matrix
 
@@ -178,11 +173,11 @@ class TestRegime:
     def test_notes_empty_in_regime(self):
         centers = np.zeros((8, 3))
         sigma = math.sqrt(variance_regime_limit(8, 3)) * 0.9
-        assert regime_notes(centers, sigma) == []
+        assert regime_notes(norm(centers, axis=1), 3, sigma) == []
 
     def test_notes_flag_large_norm_and_sigma(self):
         centers = 2.0 * np.ones((8, 3))
-        notes = regime_notes(centers, 1.0)
+        notes = regime_notes(norm(centers, axis=1), 3, 1.0)
         assert len(notes) == 2
 
     @pytest.mark.parametrize("n, d", [(8, 3), (40, 5), (2, 1), (1, 3)])
@@ -205,7 +200,7 @@ class TestRegime:
         assert variance_regime_note(1, 3, sigma) is None   # the limit is infinite
 
     def test_notes_at_a_sigma_whose_square_overflows(self):
-        assert regime_notes(np.zeros((8, 3)), 1e200) == [
+        assert regime_notes(norm(np.zeros((8, 3)), axis=1), 3, 1e200) == [
             "sigma^2 = inf exceeds the regime limit 1/(9 d log n) = 0.017811"]
 
     def test_gaussian_points_warns(self):

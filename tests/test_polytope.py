@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smoothlab.bounds import shadow_size_bound
 from smoothlab.errors import (
     DegeneratePlaneError,
     InvalidInputError,
@@ -37,7 +38,6 @@ from smoothlab.polytope import (
     plane_basis,
     recession_directions,
     shadow_polygon,
-    shadow_size_bound,
 )
 from smoothlab.simplex import find_initial_vertex, solve
 
