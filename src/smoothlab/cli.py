@@ -17,13 +17,12 @@ from .experiments import (
     KINDS,
     MEASURES,
     ExperimentConfig,
-    read_text_file,
     run_experiment,
     verify_replay,
 )
 from .perceptron import RULES, parse_instance, run_perceptron, wiggle_room
 from .polytope import parse_lp
-from .reports import load_json_report, write_report
+from .reports import load_json_report, read_text_file, write_report
 from .simplex import solve
 
 KIND_BY_COMMAND = {kind.command: name for name, kind in KINDS.items()}

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .polytope import (
     brute_force_optimum,
     shadow_polygon,
 )
+from .reports import SCHEMA_VERSION, Report, read_text_file
 from .simplex import solve
 
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
@@ -60,16 +60,6 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-
-
-@dataclass
-class Report:
-    schema: str
-    config: dict
-    columns: list          # the keys of the first row, in order
-    rows: list
-    warnings: list = field(default_factory=list)
-    per_trial: list | None = None
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -117,15 +107,6 @@ def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.center_source in BUILTIN_CENTERS:
         raise ConfigError(f"tail-matrix takes --center zero, ones or a FILE, not {cfg.center_source}")
     return read_center_file(cfg, cfg.d)
-
-
-def read_text_file(path: str, what: str) -> str:
-    """Contents of a UTF-8 text file; ConfigError names `what` if it cannot be read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def read_center_file(cfg: ExperimentConfig, n: int | None) -> np.ndarray:
@@ -505,9 +486,6 @@ def aggregate_profile(cfg: ExperimentConfig, per_trial: list) -> list:
             "is_smoothed_estimate": True,
         })
     return rows
-
-
-SCHEMA_VERSION = "v1"
 
 
 # ---------------------------------------------------------------------------

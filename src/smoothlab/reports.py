@@ -1,4 +1,5 @@
-"""Deterministic CSV/JSON report serialization.
+"""The report format and every file read and write: deterministic CSV/JSON
+serialization, JSON report loading, and the one reader of UTF-8 input files.
 
 Output must be byte-identical across reruns and parallelism degrees, so all
 floats are rendered with repr (shortest round-trip form), JSON keys are
@@ -13,9 +14,30 @@ import contextlib
 import json
 import math
 import os
+from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
-from .experiments import Report
+from .errors import ConfigError, InvalidInputError
+
+SCHEMA_VERSION = "v1"
+
+
+@dataclass
+class Report:
+    schema: str
+    config: dict
+    columns: list          # the keys of the first row, in order
+    rows: list
+    warnings: list = field(default_factory=list)
+    per_trial: list | None = None
+
+
+def read_text_file(path: str, what: str) -> str:
+    """Contents of a UTF-8 text file; ConfigError names `what` if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def _cell(value) -> str:
@@ -73,9 +95,8 @@ def write_report(report: Report, path: str, fmt: str, per_trial: bool = False) -
 def load_json_report(path: str) -> dict:
     """Read a JSON report; a file that is not a JSON object raises InvalidInputError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        doc = json.loads(read_text_file(path, "report"))
+    except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not a JSON report: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path} is not a JSON report: top level is not an object")

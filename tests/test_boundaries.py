@@ -1,13 +1,18 @@
 """src/ holds only what a command runs, none of it leans on test code, one
-guarded function holds its one private numpy dependency, and every closed-form
-bound lives in `bounds`, apart from the code it is checked against."""
+guarded function holds its one private numpy dependency, every closed-form
+bound lives in `bounds`, apart from the code it is checked against, and the
+package root, `errors`, `bounds` and `reports` load no numpy."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "smoothlab"
 TEST_ONLY = {"samplers", "oracles", "pytest", "hypothesis"}
+NUMPY_FREE = ("errors", "bounds", "reports")   # importing these loads no numpy
 
 
 def parse_modules(src: pathlib.Path) -> dict:
@@ -42,7 +47,7 @@ def unreached(src: pathlib.Path = SRC) -> list:
                 word = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
                 todo += by_word.get(word, [])
     return sorted(q for q in nodes.keys() - reached
-                  if q.split(".")[1] not in ("__all__", "__version__"))
+                  if q.split(".")[1] != "__version__")
 
 
 def private_lstsq_users(src: pathlib.Path = SRC) -> list:
@@ -75,6 +80,38 @@ def imported(tree: ast.Module) -> set:
             base = "." * node.level + (node.module or "")
             names |= {base} if node.module else {base + alias.name for alias in node.names}
     return names
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The submodules of smoothlab that a module of it imports, by stem, at
+    any depth of its code. In `from . import x` and `from smoothlab import x`,
+    x counts as a submodule, so the set can only over-count."""
+    stems = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["smoothlab" if node.level else "", node.module]))
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        stems |= {name.split(".")[1] for name in names if name.startswith("smoothlab.")}
+    return stems
+
+
+def numpy_importers(src: pathlib.Path = SRC) -> list:
+    """The modules of src that import numpy among those `import smoothlab.<root>`
+    runs for each root in NUMPY_FREE: __init__, the roots and every submodule
+    they import, transitively."""
+    trees = parse_modules(src)
+    run, todo = set(), ["__init__", *NUMPY_FREE]
+    while todo:
+        mod = todo.pop()
+        if mod in trees and mod not in run:
+            run.add(mod)
+            todo += package_imports(trees[mod])
+    return sorted(mod for mod in run
+                  if any(name.split(".")[0] == "numpy" for name in imported(trees[mod])))
 
 
 # the constants of the shadow bound and Sankar-Spielman-Teng's tail, and the
@@ -111,6 +148,53 @@ def test_bound_spellings_sees_every_copy(tmp_path):
         "TAU = 1 / (8.0 * d ** 1.5)\nSHADOW = 58888678.0\nNOT_TAU = 8.0 * dd ** 1.5\n")
     assert bound_spellings(tmp_path) == {"58888678": ["b"], "1.823": ["a"],
                                          "8.0 * d ** 1.5": ["a", "b"]}
+
+
+def test_package_root_imports_nothing():
+    assert imported(parse_modules(SRC)["__init__"]) == set()
+
+
+def test_package_root_rule_sees_a_nested_import(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "def version():\n    from importlib.metadata import version\n"
+        "    return version('smoothlab')\n")
+    assert imported(parse_modules(tmp_path)["__init__"]) == {"importlib.metadata"}
+
+
+def test_reports_imports_no_smoothlab_module_but_errors():
+    assert package_imports(parse_modules(SRC)["reports"]) <= {"errors"}
+
+
+def test_package_imports_sees_every_spelling(tmp_path):
+    (tmp_path / "reports.py").write_text(
+        "import json\nimport smoothlab\nimport smoothlab.cli\nfrom . import bounds\n"
+        "from .errors import ConfigError\nfrom smoothlab import numkit\n"
+        "from smoothlab.perturb import block_streams\n"
+        "def late():\n    from .experiments import Report\n    return Report\n")
+    assert package_imports(parse_modules(tmp_path)["reports"]) == {
+        "bounds", "cli", "errors", "experiments", "numkit", "perturb"}
+
+
+def test_numpy_free_modules_import_no_numpy():
+    assert numpy_importers() == []
+
+
+def test_numpy_importers_follows_every_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from numpy.linalg import norm\n")
+    (tmp_path / "errors.py").write_text("class SmoothlabError(Exception):\n    pass\n")
+    (tmp_path / "bounds.py").write_text("import math\nfrom .errors import SmoothlabError\n")
+    (tmp_path / "reports.py").write_text("from . import helper\n")
+    (tmp_path / "helper.py").write_text("def f():\n    import numpy as np\n    return np\n")
+    (tmp_path / "unused.py").write_text("import numpy\n")
+    assert numpy_importers(tmp_path) == ["__init__", "helper"]
+
+
+def test_importing_the_numpy_free_modules_loads_no_numpy():
+    modules = ", ".join(["smoothlab"] + [f"smoothlab.{mod}" for mod in NUMPY_FREE])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    code = f"import sys, {modules}; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_polytope_does_not_import_perturb():

@@ -624,6 +624,17 @@ class TestVerifyReport:
         assert capsys.readouterr().err == (
             f"error: {bad} is not a JSON report: top level is not an object\n")
 
+    @pytest.mark.parametrize("fault", ["missing", "directory", "undecodable"])
+    def test_unreadable_file_is_one_line_error(self, tmp_path, capsys, fault):
+        bad = tmp_path / "r.json"
+        if fault == "directory":
+            bad.mkdir()
+        elif fault == "undecodable":
+            bad.write_bytes(bytes(range(128, 192)))   # no valid UTF-8 start byte
+        assert run(["verify-report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read report: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command, path, value, message", MALFORMED_REPORTS,
                              ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _, _ in
                                   MALFORMED_REPORTS])
