@@ -20,7 +20,7 @@ from .experiments import (
     run_experiment,
     verify_replay,
 )
-from .perceptron import RULES, parse_instance, run_perceptron, wiggle_room
+from .perceptron import RULES, parse_instance, run_perceptron, wiggle_rooms
 from .polytope import parse_lp
 from .reports import load_json_report, read_text_file, write_report
 from .simplex import solve
@@ -157,7 +157,7 @@ def _run_solve_lp(args) -> int:
 
 def _run_perceptron_file(args) -> int:
     inst = parse_instance(read_text_file(args.file, "instance file"))
-    nu = wiggle_room(inst)
+    nu = wiggle_rooms([inst])[0]
     run = run_perceptron(inst, iteration_cap=args.cap, rule=args.rule)
     doc = {
         "status": run.status,

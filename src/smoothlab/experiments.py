@@ -225,9 +225,9 @@ def _trial_shadow_size(args):
     pts = centers + sigma * next(streams).standard_normal(centers.shape)
     plane_rng = next(streams)
     t = plane_rng.standard_normal(cfg.d)
-    z = plane_rng.standard_normal(cfg.d)
+    lp = LinearProgram(pts, np.ones(cfg.n), plane_rng.standard_normal(cfg.d))
     try:
-        poly = shadow_polygon(pts, t, z)
+        poly = shadow_polygon(lp, t)
     except UnboundedShadowError:
         return "unbounded"
     return int(poly.vertex_count)
@@ -256,7 +256,7 @@ def _trial_simplex_pivots(args):
     }
     if result.status == "optimal":
         try:
-            poly = shadow_polygon(rows, result.start_objective, z)
+            poly = shadow_polygon(lp, result.start_objective)
         except (UnboundedShadowError, InvalidInputError):
             poly = None
         if poly is not None:

@@ -36,6 +36,7 @@ class PerceptronInstance:
     """Points, their row norms and their unit rows: computed once, read-only."""
     points: np.ndarray   # (n, d), all rows nonzero with finite norms
     norms: np.ndarray = field(init=False, repr=False)   # numkit.norm of each row
+    unit: np.ndarray = field(init=False, repr=False)    # points / norms[:, None]
 
     def __post_init__(self):
         p = np.array(self.points, dtype=float, ndmin=2)
@@ -46,7 +47,7 @@ class PerceptronInstance:
             raise InvalidInputError("all points must be nonzero")
         if not np.isfinite(norms).all():
             raise InvalidInputError("every point's norm must be finite")
-        for name, a in (("points", p), ("norms", norms), ("_unit", p / norms[:, None])):
+        for name, a in (("points", p), ("norms", norms), ("unit", p / norms[:, None])):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -57,9 +58,6 @@ class PerceptronInstance:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def normalized(self) -> np.ndarray:
-        return self._unit   # points / norms[:, None]
 
 
 @dataclass(frozen=True)
@@ -74,31 +72,15 @@ def parse_instance(text: str) -> PerceptronInstance:
     return PerceptronInstance(parse_table(text, "instance file")[0])
 
 
-def min_norm_point(points: np.ndarray) -> np.ndarray:
-    """Wolfe's algorithm for the minimum-norm point in a convex hull.
+def min_norm_point(stack: np.ndarray) -> tuple[np.ndarray, list]:
+    """Wolfe's algorithm for the minimum-norm point of each hull of a (k, n, d)
+    stack: the (k, d) points u and the row indices of each instance's final
+    active set, whose simplex holds u.
 
     Major cycle adds the point most opposed to the current iterate; minor
     cycle restores the iterate to the relative interior of its active-set
     simplex via the affine minimizer. Terminates on the Wolfe criterion
     u.p_j >= ||u||^2 - gap for all j.
-
-    An (n, d) array gives its point; a (k, n, d) stack gives the (k, d)
-    points of its k hulls, from one lockstep run (see _wolfe_lockstep).
-    """
-    p = np.asarray(points, dtype=float)
-    return _wolfe_lockstep(p)[0] if p.ndim == 3 else _wolfe(p)[0]
-
-
-def _wolfe(points: np.ndarray) -> tuple[np.ndarray, list]:
-    """min_norm_point's run on one instance, a stack of one: the point u and
-    the row indices of its final active set, whose simplex holds u."""
-    u, actives = _wolfe_lockstep(np.atleast_2d(np.asarray(points, dtype=float))[None])
-    return u[0], actives[0]
-
-
-def _wolfe_lockstep(stack: np.ndarray) -> tuple[np.ndarray, list]:
-    """min_norm_point's loop over a (k, n, d) stack: the (k, d) points u and
-    the row indices of each instance's final active set, whose simplex holds u.
 
     The instances run in lockstep. A step takes one major cycle of every
     instance at a major cycle (one stacked p @ u) and one minor cycle of
@@ -194,19 +176,15 @@ def _stacked_lstsq(a: np.ndarray, b: np.ndarray, verify: bool) -> np.ndarray:
     return x
 
 
-def wiggle_room(inst: PerceptronInstance) -> float:
-    """Margin nu: distance from the origin to the hull of normalized points.
+def wiggle_rooms(insts: list) -> list:
+    """Margin nu of each instance (all of one shape): the distance from the
+    origin to the hull of its normalized points, from one stacked
+    min_norm_point.
 
-    Returns 0.0 when the origin lies in (or within HULL_TOL of) the hull,
+    nu is 0.0 when the origin lies in (or within HULL_TOL of) the hull,
     i.e. when no strictly feasible direction exists.
     """
-    return wiggle_rooms([inst])[0]
-
-
-def wiggle_rooms(insts: list) -> list:
-    """wiggle_room of each instance (all of one shape), from one stacked
-    min_norm_point: the same bits as one call per instance."""
-    us = min_norm_point(np.stack([inst.normalized() for inst in insts]))
+    us = min_norm_point(np.stack([inst.unit for inst in insts]))[0]
     # np.linalg.norm's own 1-D steps, less its call overhead
     return [0.0 if nu <= HULL_TOL else nu for nu in (math.sqrt(u.dot(u)) for u in us)]
 
@@ -233,7 +211,7 @@ def run_perceptron(inst: PerceptronInstance, iteration_cap: int,
         raise InvalidInputError("iteration_cap must be at least 1")
     if rule not in RULES:
         raise InvalidInputError(f"unknown selection rule: {rule}")
-    norm_pts = inst.normalized()
+    norm_pts = inst.unit
     rows = list(norm_pts)
     margins_of = inst.points.dot   # same bytes as inst.points @ x, less call overhead
     zeros = np.zeros(inst.n)       # an array operand compares faster than a scalar
@@ -301,13 +279,13 @@ def _certified_infeasible(inst: PerceptronInstance, iteration_cap: int) -> bool:
     Predicates" (1997): a float proposal accepted only by an exact test
     with a stated error margin.
     """
-    norm_pts = inst.normalized()
+    norm_pts = inst.unit
     entries = np.abs(np.concatenate((inst.points.ravel(), norm_pts.ravel())))
     entries = entries[entries > 0.0]
     if iteration_cap > 2 ** 53 or entries.min() < 2.0 ** -300 or entries.max() > 2.0 ** 300:
         return False
     d = inst.d
-    active = _wolfe(norm_pts)[1]
+    active = min_norm_point(norm_pts[None])[1][0]
     if len(active) != d + 1:
         return False
     v = [[Fraction(t) for t in row] for row in norm_pts[active].tolist()]

@@ -9,7 +9,8 @@ tests cross-check that scan against a one-basis-at-a-time loop.
 Rays and feasibility come from one SVD of A: {w : Aw <= 0} is null(A) plus a
 pointed cone whose extreme rays are null vectors of (r-1)-row subsets in the
 rank-r row space, where {Ax <= b} is feasible iff it has a feasible basis.
-Every rank decision is _independent on rows scaled to a unit largest entry.
+Every rank decision is the rule of independent_rows: rows scaled to a unit
+largest entry are independent if their least singular value is > 1e-12 x the largest.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ def _independent(s: np.ndarray):
     return s[..., -1] > 1e-12 * s[..., 0]
 
 
+def independent_rows(A: np.ndarray):
+    """Whether the rows of A, or of each matrix of a stack A, are linearly independent."""
+    return _independent(np.linalg.svd(_unit_peak_rows(A), compute_uv=False))
+
+
 def feasible_bases(lp: LinearProgram):
     """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
 
@@ -126,7 +132,6 @@ def feasible_bases(lp: LinearProgram):
     SVD rank test of the feasible bases only; solve treats each basis on its own. If
     it raises, slogdet, which runs solve's own LU, first drops the bases it rejects.
     """
-    scaled = _unit_peak_rows(lp.A)
     for idx in basis_chunks(lp.n, lp.d):
         try:
             x = np.linalg.solve(lp.A[idx], lp.b[idx][..., None])[..., 0]
@@ -137,7 +142,7 @@ def feasible_bases(lp: LinearProgram):
         # stacked matvec: the same rounding as lp.A @ x on each point
         with np.errstate(over="ignore", invalid="ignore"):   # near-singular bases: huge x
             keep = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
-        keep[keep] = _independent(np.linalg.svd(scaled[idx[keep]], compute_uv=False))
+        keep[keep] = independent_rows(lp.A[idx[keep]])
         yield idx[keep], x[keep]
 
 
@@ -287,18 +292,14 @@ def convex_hull_2d(points: np.ndarray):
     return pts[hull], hull
 
 
-def shadow_polygon(rows, plane_t, plane_z) -> ShadowPolygon:
-    """Exact shadow of {x : x^T a_i <= 1} on span(t, z).
+def shadow_polygon(lp: LinearProgram, plane_t) -> ShadowPolygon:
+    """Exact shadow of lp's polytope {x : x^T a_i <= b_i} on span(t, lp.z).
 
     Projects every enumerated polytope vertex onto an orthonormal basis of
     the plane and takes the 2-d hull. Errors if the polytope is unbounded in
     any direction visible to the plane (or has no vertices at all).
     """
-    a = np.atleast_2d(np.asarray(rows, dtype=float))
-    q = plane_basis(plane_t, plane_z)
-    if q.shape[0] != a.shape[1]:
-        raise InvalidInputError("plane and constraint dimensions disagree")
-    lp = LinearProgram(a, np.ones(a.shape[0]), np.zeros(a.shape[1]))
+    q = plane_basis(plane_t, lp.z)
     dirs = recession_directions(lp.A)
     if len(dirs) and np.max(np.linalg.norm(dirs @ q, axis=1)) > 1e-9:
         raise UnboundedShadowError("polytope is unbounded in the plane directions")
@@ -308,4 +309,3 @@ def shadow_polygon(rows, plane_t, plane_z) -> ShadowPolygon:
     proj = np.array([v.point @ q for v in verts])
     hull, idx = convex_hull_2d(proj)
     return ShadowPolygon(basis=q, hull_points=hull, preimages=tuple(verts[i] for i in idx))
-

@@ -96,7 +96,7 @@ def load_json_report(path: str) -> dict:
     """Read a JSON report; a file that is not a JSON object raises InvalidInputError."""
     try:
         doc = json.loads(read_text_file(path, "report"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nesting too deep
         raise InvalidInputError(f"{path} is not a JSON report: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{path} is not a JSON report: top level is not an object")

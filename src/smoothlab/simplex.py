@@ -28,10 +28,9 @@ from .errors import InvalidStartError
 from .polytope import (
     LinearProgram,
     PolytopeVertex,
-    _independent,
-    _unit_peak_rows,
     feasible_bases,
     improving_ray,
+    independent_rows,
     is_feasible,
 )
 
@@ -70,7 +69,7 @@ def _verify_start(lp: LinearProgram, start: PolytopeVertex, t: np.ndarray) -> No
     if len(set(idx)) != lp.d or min(idx) < 0 or max(idx) >= lp.n:
         raise InvalidStartError("tight set must be d distinct constraint indices")
     sub = lp.A[idx]
-    if not _independent(np.linalg.svd(_unit_peak_rows(sub), compute_uv=False)):
+    if not independent_rows(sub):
         raise InvalidStartError("tight-set rows are linearly dependent")
     x = np.asarray(start.point, dtype=float)
     if np.max(np.abs(sub @ x - lp.b[idx])) > 1e-7:

@@ -3,7 +3,7 @@
 They live beside the tests, so no command comes to depend on them, and they
 share no code path with what they check: ``height`` projects onto the span of
 the other columns by QR, where ``numkit.inverse_norm`` takes an SVD, and
-``wiggle_room_grid`` sweeps directions, where ``perceptron.wiggle_room`` runs
+``wiggle_room_grid`` sweeps directions, where ``perceptron.wiggle_rooms`` runs
 Wolfe's algorithm.
 """
 
@@ -35,5 +35,5 @@ def wiggle_room_grid(inst: PerceptronInstance, directions: int = 100000) -> floa
         raise InvalidInputError("grid oracle is for d = 2 only")
     angles = 2.0 * math.pi * np.arange(directions) / directions
     xs = np.column_stack([np.cos(angles), np.sin(angles)])
-    margins = (inst.normalized() @ xs.T).min(axis=0)
+    margins = (inst.unit @ xs.T).min(axis=0)
     return float(margins.max())

@@ -19,7 +19,7 @@ from smoothlab.numkit import inverse_norm
 from smoothlab.perceptron import (
     PerceptronInstance,
     run_perceptron,
-    wiggle_room,
+    wiggle_rooms,
 )
 from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import (
@@ -122,7 +122,7 @@ def test_04_block_novikoff_bound():
     accepted = 0
     while accepted < 1000:
         inst = _random_feasible_instance(rng)
-        nu = wiggle_room(inst)
+        nu = wiggle_rooms([inst])[0]
         if nu < 1e-3:
             continue
         accepted += 1
@@ -147,7 +147,7 @@ def test_05_margin_oracle_equivalence():
         radii = rng.uniform(0.5, 2.0, size=n)
         inst = PerceptronInstance(np.column_stack([radii * np.cos(angles),
                                                    radii * np.sin(angles)]))
-        nu = wiggle_room(inst)
+        nu = wiggle_rooms([inst])[0]
         assert nu == pytest.approx(wiggle_room_grid(inst, 100000), abs=1e-4)
         checked += 1
 
@@ -174,7 +174,7 @@ def test_06_simplex_vs_oracle():
         oracle = brute_force_optimum(lp)
         assert res.status == oracle.status == "optimal"
         assert abs(res.objective_value(lp) - oracle.value) <= 1e-6
-        poly = shadow_polygon(lp.A, res.start_objective, lp.z)
+        poly = shadow_polygon(lp, res.start_objective)
         for vertex in res.visited:
             proj = vertex.point @ poly.basis
             dist = np.min(np.linalg.norm(poly.hull_points - proj, axis=1))
@@ -188,13 +188,13 @@ def test_06_simplex_vs_oracle():
 
 def test_07_shadow_geometry_exact_counts():
     cube = np.vstack([np.eye(3), -np.eye(3)])
-    generic = shadow_polygon(cube, [1.0, 0.3, -0.2], [0.1, 1.0, 0.5])
+    generic = shadow_polygon(LinearProgram(cube, np.ones(6), [0.1, 1.0, 0.5]), [1.0, 0.3, -0.2])
     assert generic.vertex_count == 6
-    axis = shadow_polygon(cube, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    axis = shadow_polygon(LinearProgram(cube, np.ones(6), [0.0, 1.0, 0.0]), [1.0, 0.0, 0.0])
     assert axis.vertex_count == 4
     box = LinearProgram(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4),
-                        np.array([1.0, 1.0]))
-    flat = shadow_polygon(box.A, [1.0, 0.0], [0.0, 1.0])
+                        np.array([0.0, 1.0]))
+    flat = shadow_polygon(box, [1.0, 0.0])
     assert flat.vertex_count == len(enumerate_vertices(box)) == 4
 
 

@@ -1,7 +1,8 @@
 """src/ holds only what a command runs, none of it leans on test code, one
-guarded function holds its one private numpy dependency, every closed-form
-bound lives in `bounds`, apart from the code it is checked against, and the
-package root, `errors`, `bounds` and `reports` load no numpy."""
+guarded function holds its one private numpy dependency, no module takes
+another's private names, every closed-form bound lives in `bounds`, apart
+from the code it is checked against, and the package root, `errors`, `bounds`
+and `reports` load no numpy."""
 
 import ast
 import os
@@ -97,6 +98,36 @@ def package_imports(tree: ast.Module) -> set:
             continue
         stems |= {name.split(".")[1] for name in names if name.startswith("smoothlab.")}
     return stems
+
+
+def private_imports(src: pathlib.Path = SRC) -> list:
+    """`module: source.name` for each underscore name (not a dunder) that a module
+    of src takes from the package: by `from .x import _name` or `from smoothlab.x
+    import _name`, at any depth of its code, or as an attribute `x._name` of a
+    package module it imported whole."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+    found = set()
+    for mod, tree in parse_modules(src).items():
+        modules = set()   # names bound to a package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "smoothlab"):
+                source = "." * node.level + (node.module or "")
+                found |= {f"{mod}: {source}.{a.name}" for a in node.names if private(a.name)}
+                if node.module in (None, "smoothlab"):   # from . import x: x is a module
+                    modules |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                            if a.name.split(".")[0] == "smoothlab"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.add(f"{mod}: {ast.unparse(node)}")
+    return sorted(found)
 
 
 def numpy_importers(src: pathlib.Path = SRC) -> list:
@@ -195,6 +226,22 @@ def test_importing_the_numpy_free_modules_loads_no_numpy():
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     code = f"import sys, {modules}; assert 'numpy' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_no_src_module_imports_another_modules_private_name():
+    assert private_imports() == []
+
+
+def test_private_imports_sees_every_spelling(tmp_path):
+    (tmp_path / "simplex.py").write_text(
+        "from __future__ import annotations\nimport numpy as np\nimport smoothlab.numkit\n"
+        "from . import polytope as poly\nfrom .polytope import __doc__, _independent, solve\n"
+        "def late():\n    from smoothlab.perceptron import _helper\n"
+        "    return _helper, poly._unit_peak_rows, poly.solve, smoothlab.numkit._parse\n"
+        "def numpy_private():\n    return np.linalg._umath_linalg, late._cache\n")
+    assert private_imports(tmp_path) == [
+        "simplex: .polytope._independent", "simplex: poly._unit_peak_rows",
+        "simplex: smoothlab.numkit._parse", "simplex: smoothlab.perceptron._helper"]
 
 
 def test_polytope_does_not_import_perturb():

@@ -116,6 +116,7 @@ UNDERFLOW_CASES = [
 
 TAIL_MATRIX_FLAGS = ["tail-matrix", "--d", "2", "--threshold", "2", "--trials", "3"]
 PROFILE_FLAGS = ["smoothed-profile", "--n", "6", "--d", "2", "--trials", "2"]
+SHADOW_FLAGS = ["shadow-size", "--n", "6", "--d", "3", "--trials", "2", "--center", "box"]
 # flags a run refuses before any trial, and the one error line for each
 REFUSED_CONFIGS = [
     (TAIL_MATRIX_FLAGS + ["--sigma", "nan"], "sigma values must be finite and nonnegative"),
@@ -126,6 +127,9 @@ REFUSED_CONFIGS = [
      "master_seed must be a 64-bit unsigned integer"),
     (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--seed", str(2 ** 64)],
      "master_seed must be a 64-bit unsigned integer"),
+    (SHADOW_FLAGS + ["--sigma", "0"], "sigma values must be positive"),
+    (SHADOW_FLAGS + ["--sigma", "-1"], "sigma values must be positive"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--trials", "0"], "trials must be at least 1"),
 ]
 
 
@@ -624,16 +628,20 @@ class TestVerifyReport:
         assert capsys.readouterr().err == (
             f"error: {bad} is not a JSON report: top level is not an object\n")
 
-    @pytest.mark.parametrize("fault", ["missing", "directory", "undecodable"])
+    @pytest.mark.parametrize("fault", ["missing", "directory", "undecodable", "too_deep"])
     def test_unreadable_file_is_one_line_error(self, tmp_path, capsys, fault):
         bad = tmp_path / "r.json"
+        start = "error: cannot read report: "
         if fault == "directory":
             bad.mkdir()
         elif fault == "undecodable":
             bad.write_bytes(bytes(range(128, 192)))   # no valid UTF-8 start byte
+        elif fault == "too_deep":   # nesting past the JSON decoder's recursion limit
+            bad.write_text("[" * 100_000)
+            start = f"error: {bad} is not a JSON report: "
         assert run(["verify-report", str(bad)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read report: ") and err.count("\n") == 1
+        assert err.startswith(start) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, path, value, message", MALFORMED_REPORTS,
                              ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _, _ in

@@ -32,7 +32,7 @@ from smoothlab.experiments import (
 )
 from smoothlab.numkit import inverse_norm
 from smoothlab.bounds import iteration_bound
-from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_room
+from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_rooms
 from smoothlab.perturb import SeedSpec
 from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json
@@ -319,7 +319,7 @@ def _trial_perceptron_tail(args):   # reference: one instance, its own Wolfe run
     cfg, centers, sigma, streams, _ = args
     pts = centers + sigma * next(streams).standard_normal(centers.shape)
     inst = PerceptronInstance(pts)
-    nu = wiggle_room(inst)
+    nu = wiggle_rooms([inst])[0]
     if nu <= 0.0:
         return {"nu": 0.0, "feasible": False, "iterations": None,
                 "bound": None, "within": None}

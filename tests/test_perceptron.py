@@ -26,7 +26,7 @@ from smoothlab.perceptron import (
     PerceptronRun,
     parse_instance,
     run_perceptron,
-    wiggle_room,
+    wiggle_rooms,
     _certified_infeasible,
 )
 from smoothlab.perturb import SeedSpec, smoothed_input
@@ -70,7 +70,7 @@ class TestParse:
     @pytest.mark.parametrize("rows", [[[1e308]], [[1.0, 0.0], [1e200, -1e200]]])
     def test_row_norm_must_be_finite(self, rows):
         # squares past the float range, norms within it
-        units = norm(PerceptronInstance(rows).normalized(), axis=1)
+        units = norm(PerceptronInstance(rows).unit, axis=1)
         assert np.all(np.abs(units - 1.0) <= 2 * np.finfo(float).eps)
         with pytest.raises(InvalidInputError, match="norm must be finite"):
             PerceptronInstance([[1.0, 0.0], [1.5e308, 1.5e308]])
@@ -78,11 +78,11 @@ class TestParse:
     @pytest.mark.filterwarnings("error")
     def test_row_whose_squares_underflow_is_accepted(self):
         inst = PerceptronInstance([[2.18e-296]])
-        assert np.array_equal(inst.normalized(), [[1.0]])
+        assert np.array_equal(inst.unit, [[1.0]])
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_row_normalizes_to_unit_length(self):
-        got = PerceptronInstance([[1e-160, 1e-160]]).normalized()[0]
+        got = PerceptronInstance([[1e-160, 1e-160]]).unit[0]
         want = 1.0 / math.sqrt(2.0)
         assert np.all(np.abs(got - want) <= np.spacing(want))
 
@@ -95,38 +95,38 @@ class TestParse:
 
 class TestWiggleRoom:
     def test_single_point(self):
-        assert wiggle_room(PerceptronInstance([[3.0, 0.0]])) == pytest.approx(1.0)
+        assert wiggle_rooms([PerceptronInstance([[3.0, 0.0]])])[0] == pytest.approx(1.0)
 
     def test_orthogonal_pair(self):
         inst = PerceptronInstance([[1.0, 0.0], [0.0, 1.0]])
-        assert wiggle_room(inst) == pytest.approx(1.0 / math.sqrt(2))
+        assert wiggle_rooms([inst])[0] == pytest.approx(1.0 / math.sqrt(2))
 
     def test_infeasible_is_zero(self):
         inst = PerceptronInstance([[1.0, 0.0], [-1.0, 0.0]])
-        assert wiggle_room(inst) == 0.0
+        assert wiggle_rooms([inst])[0] == 0.0
 
     def test_origin_on_hull_boundary(self):
         inst = PerceptronInstance([[1.0, 1.0], [-1.0, 1.0], [0.0, -1.0]])
-        assert wiggle_room(inst) == 0.0
+        assert wiggle_rooms([inst])[0] == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(17)
         inst = random_feasible_2d(rng, 6)
         scaled = PerceptronInstance(7.5 * inst.points)
-        assert wiggle_room(scaled) == pytest.approx(wiggle_room(inst), rel=1e-9)
+        assert wiggle_rooms([scaled])[0] == pytest.approx(wiggle_rooms([inst])[0], rel=1e-9)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(19)
         inst = random_feasible_2d(rng, 6)
         c, s = math.cos(0.7), math.sin(0.7)
         rot = PerceptronInstance(inst.points @ np.array([[c, -s], [s, c]]).T)
-        assert wiggle_room(rot) == pytest.approx(wiggle_room(inst), abs=1e-9)
+        assert wiggle_rooms([rot])[0] == pytest.approx(wiggle_rooms([inst])[0], abs=1e-9)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             inst = random_feasible_2d(rng, int(rng.integers(2, 9)))
-            nu = wiggle_room(inst)
+            nu = wiggle_rooms([inst])[0]
             assert nu == pytest.approx(wiggle_room_grid(inst, 100000), abs=1e-4)
 
     def test_grid_requires_d2(self):
@@ -146,7 +146,7 @@ class TestRunPerceptron:
         rng = np.random.default_rng(29)
         for _ in range(30):
             inst = random_feasible_2d(rng, int(rng.integers(2, 8)))
-            bound = iteration_bound(wiggle_room(inst))
+            bound = iteration_bound(wiggle_rooms([inst])[0])
             for rule in ("lowest_index", "most_violated"):
                 run = run_perceptron(inst, iteration_cap=bound, rule=rule)
                 assert run.status == "solved"
@@ -170,7 +170,7 @@ class TestRunPerceptron:
 def _reference_run(inst, iteration_cap, rule="lowest_index"):
     """The update loop as first written: one matmul and one flatnonzero per
     step, no cycle check. run_perceptron must match it byte for byte."""
-    norm_pts = inst.normalized()
+    norm_pts = inst.unit
     x = np.zeros(inst.d)
     for it in range(iteration_cap + 1):
         margins = inst.points @ x
@@ -209,7 +209,7 @@ def assert_same_around_solve(inst, cap, rule):
 
 def visited_states(inst, steps):
     """x.tobytes() after 0..steps lowest-index updates (reference arithmetic)."""
-    norm_pts = inst.normalized()
+    norm_pts = inst.unit
     x, states = np.zeros(inst.d), []
     for _ in range(steps + 1):
         states.append(x.tobytes())
@@ -256,7 +256,7 @@ class TestLoopMatchesReference:
         checked = 0
         for stream in range(30):
             inst = PerceptronInstance(gaussian_points(centers, 0.2, SeedSpec(1, stream)))
-            nu = wiggle_room(inst)
+            nu = wiggle_rooms([inst])[0]
             if nu <= 0.0:
                 continue
             checked += 1
@@ -321,10 +321,11 @@ SIGMAS = (0.05, 0.1, 0.3)
 
 
 def _reference_wolfe(points, counts):
-    """_wolfe's loop as it stood before its per-cycle overhead was cut
-    (np.zeros KKT with 4 writes, 1-D right-hand side, np.* wrappers, two break
-    tests). _wolfe must match it byte for byte. counts tallies drop steps and
-    rank-deficient KKT systems, so the test can check it reached both."""
+    """Wolfe's loop on one instance as it stood before its per-cycle overhead
+    was cut (np.zeros KKT with 4 writes, 1-D right-hand side, np.* wrappers,
+    two break tests). min_norm_point on a stack of one must match it byte for
+    byte. counts tallies drop steps and rank-deficient KKT systems, so the
+    test can check it reached both."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     i0 = int(np.argmin(np.einsum("ij,ij->i", p, p)))
     active = [i0]
@@ -389,9 +390,10 @@ class TestWolfeMatchesReference:
                                                              center_source=src))
                     pts = centers + sigma * rng.standard_normal((n, d))
                     if pts.any(axis=1).all():   # else Wolfe's raw-point path
-                        pts = PerceptronInstance(pts).normalized()
+                        pts = PerceptronInstance(pts).unit
                     duplicated += len(np.unique(pts, axis=0)) < n
-                    got_u, got_active = perceptron._wolfe(pts)
+                    got_u, got_active = perceptron.min_norm_point(pts[None])
+                    got_u, got_active = got_u[0], got_active[0]
                     want_u, want_active = _reference_wolfe(pts, counts)
                     assert got_u.tobytes() == want_u.tobytes()
                     assert got_active == want_active
@@ -405,7 +407,7 @@ class TestWolfeMatchesReference:
         stacked = 0
         for group in by_shape.values():
             order = rng.permutation(len(group))
-            got_u, got_active = perceptron._wolfe_lockstep(
+            got_u, got_active = perceptron.min_norm_point(
                 np.stack([group[i][0] for i in order]))
             for u, active, i in zip(got_u, got_active, order):
                 assert u.tobytes() == group[i][1].tobytes()
@@ -421,8 +423,8 @@ class TestWolfeMatchesReference:
             pts = rng.standard_normal((n, d))
             pts[:, 0] = np.abs(pts[:, 0]) + 0.05   # feasible along e_1
             inst = PerceptronInstance(pts)
-            want = float(np.linalg.norm(perceptron.min_norm_point(inst.normalized())))
-            assert wiggle_room(inst) == want
+            want = float(np.linalg.norm(perceptron.min_norm_point(inst.unit[None])[0][0]))
+            assert wiggle_rooms([inst])[0] == want
 
 
 class TestLstsqGuard:
@@ -441,12 +443,12 @@ class TestLstsqGuard:
 
     def test_wrong_bits_raise(self, wrong_bits):
         with pytest.raises(LapackMismatchError, match="disagrees"):
-            perceptron.min_norm_point([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            perceptron.min_norm_point([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
 
     def test_missing_gufunc_raises(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "_umath_linalg", SimpleNamespace())
         with pytest.raises(LapackMismatchError, match="numpy >= 2.0"):
-            perceptron.min_norm_point([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+            perceptron.min_norm_point([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
 
     def test_cli_exits_1_with_one_line_and_no_report(self, wrong_bits, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -463,7 +465,7 @@ class TestLstsqGuard:
 class TestNormalizedOnce:
     def test_read_only(self):
         inst = PerceptronInstance([[3.0, 4.0], [0.0, -2.0]])
-        for array in (inst.normalized(), inst.points, inst.norms):
+        for array in (inst.unit, inst.points, inst.norms):
             with pytest.raises(ValueError):
                 array[0, ...] = 1.0
 
@@ -473,7 +475,7 @@ class TestNormalizedOnce:
         pts[0, 0] = 7.0
         assert pts.flags.writeable
         assert inst.points[0, 0] == 3.0
-        assert np.array_equal(inst.normalized(), [[0.6, 0.8], [0.0, -1.0]])
+        assert np.array_equal(inst.unit, [[0.6, 0.8], [0.0, -1.0]])
 
     def test_bit_equal_to_one_division_by_the_row_norms(self):
         rng = np.random.default_rng(20)
@@ -482,7 +484,7 @@ class TestNormalizedOnce:
             pts *= 10.0 ** exponent / norm(pts, axis=1)[:, None]
             inst = PerceptronInstance(pts)
             want = inst.points / norm(inst.points, axis=1)[:, None]
-            assert inst.normalized().tobytes() == want.tobytes()
+            assert inst.unit.tobytes() == want.tobytes()
             assert inst.norms.tobytes() == norm(inst.points, axis=1).tobytes()
 
     @pytest.mark.filterwarnings("ignore::samplers.RegimeWarning")
@@ -545,7 +547,7 @@ class TestInfeasibilityCertificate:
         for d in range(2, 6):
             for src, inst in certificate_family(d, streams=10):
                 certified = _certified_infeasible(inst, 10 ** 5)
-                nu = wiggle_room(inst)
+                nu = wiggle_rooms([inst])[0]
                 assert not (certified and nu > 0)
                 if src == "box" and nu == 0.0:
                     infeasible_box += 1
@@ -572,7 +574,7 @@ class TestInfeasibilityCertificate:
         # nor when any d+1 rows are proposed in place of Wolfe's active set
         proposal = list(range(inst.d + 1))
         if inst.n > inst.d:
-            with mock.patch.object(perceptron, "_wolfe", lambda pts: (None, proposal)):
+            with mock.patch.object(perceptron, "min_norm_point", lambda stack: (None, [proposal])):
                 assert not _certified_infeasible(inst, 10 ** 5)
 
     def test_shallow_origin_is_not_certified(self, monkeypatch):
@@ -581,7 +583,7 @@ class TestInfeasibilityCertificate:
             assert_same_run(self.SHALLOW, 3 * CERTIFY_STEP, rule)
         # the exact test rejects the shallow triangle and a simplex that
         # misses the origin even when they are proposed
-        monkeypatch.setattr(perceptron, "_wolfe", lambda pts: (None, [0, 1, 2]))
+        monkeypatch.setattr(perceptron, "min_norm_point", lambda stack: (None, [[0, 1, 2]]))
         assert not _certified_infeasible(self.SHALLOW, 10 ** 5)
         assert not _certified_infeasible(
             PerceptronInstance([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]), 10 ** 5)

@@ -25,7 +25,6 @@ from smoothlab.polytope import (
     DegeneracyWarning,
     LinearProgram,
     PolytopeVertex,
-    _independent,
     _unit_peak_rows,
     basis_chunks,
     brute_force_optimum,
@@ -33,6 +32,7 @@ from smoothlab.polytope import (
     enumerate_vertices,
     feasible_bases,
     improving_ray,
+    independent_rows,
     is_feasible,
     parse_lp,
     plane_basis,
@@ -48,6 +48,11 @@ BOX2 = LinearProgram(
 )
 
 CUBE3 = np.vstack([np.eye(3), -np.eye(3)])
+
+
+def unit_lp(rows, z):
+    """maximize x^T z subject to x^T a_i <= 1: the LP shadow-size builds."""
+    return LinearProgram(rows, np.ones(len(rows)), z)
 
 
 class TestParseFormat:
@@ -398,8 +403,7 @@ class TestSingularBasesDropped:
         assert 50 < rejected.sum() < len(stack) - 50
         np.linalg.solve(stack[~rejected], np.ones((len(stack) - rejected.sum(), d, 1)))
         # no basis solve rejects passes the rank test, so dropping them first loses none
-        s = np.linalg.svd(_unit_peak_rows(stack[rejected]), compute_uv=False)
-        assert not _independent(s).any()
+        assert not independent_rows(stack[rejected]).any()
 
     def test_zero_pivot_that_solve_accepts_is_quiet(self):
         # rows 0-2 are a rank-one product with row 0 scaled by 1e-300: some LAPACKs end
@@ -572,41 +576,44 @@ class TestPlaneAndHull:
 class TestShadowPolygon:
     def test_cube_generic_plane(self):
         rng = np.random.default_rng(3)
-        poly = shadow_polygon(CUBE3, rng.standard_normal(3), rng.standard_normal(3))
+        t, z = rng.standard_normal(3), rng.standard_normal(3)
+        poly = shadow_polygon(unit_lp(CUBE3, z), t)
         assert poly.vertex_count == 6
 
     def test_cube_axis_plane(self):
-        poly = shadow_polygon(CUBE3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        poly = shadow_polygon(unit_lp(CUBE3, [0.0, 1.0, 0.0]), [1.0, 0.0, 0.0])
         assert poly.vertex_count == 4
 
     def test_d2_shadow_is_polytope(self):
-        poly = shadow_polygon(BOX2.A, [1.0, 0.0], [0.0, 1.0])
+        poly = shadow_polygon(unit_lp(BOX2.A, [0.0, 1.0]), [1.0, 0.0])
         assert poly.vertex_count == len(enumerate_vertices(BOX2))
 
     def test_preimages_project_to_hull(self):
         rng = np.random.default_rng(8)
-        poly = shadow_polygon(CUBE3, rng.standard_normal(3), rng.standard_normal(3))
+        t, z = rng.standard_normal(3), rng.standard_normal(3)
+        poly = shadow_polygon(unit_lp(CUBE3, z), t)
         for pre, hp in zip(poly.preimages, poly.hull_points):
             assert np.allclose(pre.point @ poly.basis, hp, atol=1e-12)
 
     def test_unbounded_errors(self):
         with pytest.raises(UnboundedShadowError):
-            shadow_polygon(np.array([[1.0, 0.0]]), [1.0, 0.0], [0.0, 1.0])
+            shadow_polygon(unit_lp(np.array([[1.0, 0.0]]), [0.0, 1.0]), [1.0, 0.0])
 
     def test_unbounded_off_the_plane_has_no_vertices(self):
         # the rays +-e3 project to 0, so the shadow is bounded, but no vertex exists
         rows = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
         with pytest.raises(UnboundedShadowError, match="polytope has no vertices to project"):
-            shadow_polygon(rows, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+            shadow_polygon(unit_lp(rows, [0.0, 1.0, 0.0]), [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("row, message", [
         ([np.nan, 1.0], "LP data must be finite"),
         ([1.5e308, 1.5e308], "constraint row norms must be finite"),   # norm 2.1e308
     ])
     def test_rows_are_validated_before_the_rays(self, row, message):
+        # shadow_polygon takes a LinearProgram, so such rows never reach its rays
         rows = np.vstack([BOX2.A, row])
         with pytest.raises(InvalidInputError) as exc:
-            shadow_polygon(rows, [1.0, 0.0], [0.0, 1.0])
+            unit_lp(rows, [0.0, 1.0])
         assert str(exc.value) == message
 
 
