@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -23,13 +22,7 @@ from .errors import ConfigError, InvalidInputError, SizeLimitError, UnboundedSha
 from .numkit import inverse_norm, norm, parse_table
 from .perceptron import RULES, PerceptronInstance, run_perceptron, wiggle_rooms
 from .perturb import block_streams, smoothed_input
-from .polytope import (
-    DegeneracyWarning,
-    LinearProgram,
-    basis_chunks,
-    brute_force_optimum,
-    shadow_polygon,
-)
+from .polytope import LinearProgram, basis_chunks, brute_force_optimum, shadow_polygon
 from .reports import SCHEMA_VERSION, Report, read_text_file
 from .simplex import solve
 
@@ -58,8 +51,12 @@ class ExperimentConfig:
     measure: str = "simplex_pivots"  # smoothed_profile measure
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        for name in ("sigma_grid", "thresholds"):   # a replayed grid is JSON from outside
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid):
+                raise ConfigError(f"{name} must be a list of numbers")
+            object.__setattr__(self, name, tuple(float(v) for v in grid))
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -291,10 +288,7 @@ def _each_trial(trial, args, k: int = 1):
     """
     cfg, payload, sigma, first, count = args
     streams = block_streams(cfg.master_seed, k * first, k * count)
-    # coincident vertices at small sigma are expected; other warnings escape
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        return [trial((cfg, payload, sigma, streams, k * s)) for s in range(first, first + count)]
+    return [trial((cfg, payload, sigma, streams, k * s)) for s in range(first, first + count)]
 
 
 # the trial functions are looked up at call time, so a wrapper bound to the

@@ -16,7 +16,6 @@ largest entry are independent if their least singular value is > 1e-12 x the lar
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -33,12 +32,7 @@ from .numkit import norm, parse_table
 MAX_BASES = 1_000_000
 FEAS_TOL = 1e-9          # absolute slack tolerance for feasibility/tightness
 COLLINEAR_TOL = 1e-9     # hull collinearity tolerance
-COINCIDENT_TOL = 1e-7    # two basic solutions this close are flagged degenerate
 BASIS_CHUNK = 256        # bases per batched solve; bounds the work past an early exit
-
-
-class DegeneracyWarning(UserWarning):
-    """Distinct bases produced (near-)coincident vertices."""
 
 
 @dataclass(frozen=True)
@@ -150,20 +144,10 @@ def enumerate_vertices(lp: LinearProgram) -> list:
     """All feasible basic solutions, one per nonsingular tight set.
 
     Output is canonical: sorted by tight set. An infeasible polytope gives an
-    empty list. Near-coincident vertices from distinct bases are flagged with
-    a DegeneracyWarning but all are returned.
+    empty list. Distinct bases that share a point each give an entry.
     """
-    verts = [PolytopeVertex(point=x, tight_set=tuple(idx.tolist()))
-             for tight, points in feasible_bases(lp) for idx, x in zip(tight, points)]
-    pts = np.array([v.point for v in verts])
-    with np.errstate(over="ignore"):   # a distance past the float range is not coincident
-        for i in range(1, len(verts)):
-            close = np.linalg.norm(pts[:i] - pts[i], axis=1) < COINCIDENT_TOL
-            if close.any():
-                warnings.warn(
-                    f"coincident vertices for bases {verts[close.argmax()].tight_set} and "
-                    f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
-    return verts
+    return [PolytopeVertex(point=x, tight_set=tuple(idx.tolist()))
+            for tight, points in feasible_bases(lp) for idx, x in zip(tight, points)]
 
 
 def _row_space(A: np.ndarray):

@@ -1,8 +1,9 @@
 """src/ holds only what a command runs, none of it leans on test code, one
 guarded function holds its one private numpy dependency, no module takes
 another's private names, every closed-form bound lives in `bounds`, apart
-from the code it is checked against, and the package root, `errors`, `bounds`
-and `reports` load no numpy."""
+from the code it is checked against, the package root, `errors`, `bounds`
+and `reports` load no numpy, no module imports `warnings`, and every imported
+name is used."""
 
 import ast
 import os
@@ -130,6 +131,29 @@ def private_imports(src: pathlib.Path = SRC) -> list:
     return sorted(found)
 
 
+def warning_importers(src: pathlib.Path = SRC) -> list:
+    """The modules of src that import the warnings module, at any depth of their code."""
+    return sorted(mod for mod, tree in parse_modules(src).items()
+                  if "warnings" in {name.split(".")[0] for name in imported(tree)})
+
+
+def unused_imports(src: pathlib.Path = SRC) -> list:
+    """`module: name` for each name an import binds, at any depth of a module of
+    src, that no Name node of that module reads. A read anywhere in the module
+    counts, so the list can only under-count; __future__ imports bind nothing."""
+    found = []
+    for mod, tree in parse_modules(src).items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{mod}: {name}" for name in sorted(bound - read)]
+    return found
+
+
 def numpy_importers(src: pathlib.Path = SRC) -> list:
     """The modules of src that import numpy among those `import smoothlab.<root>`
     runs for each root in NUMPY_FREE: __init__, the roots and every submodule
@@ -242,6 +266,34 @@ def test_private_imports_sees_every_spelling(tmp_path):
     assert private_imports(tmp_path) == [
         "simplex: .polytope._independent", "simplex: poly._unit_peak_rows",
         "simplex: smoothlab.numkit._parse", "simplex: smoothlab.perceptron._helper"]
+
+
+def test_no_src_module_imports_warnings():
+    # the program reports through exit codes, report notes and counts
+    assert warning_importers() == []
+
+
+def test_warning_importers_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text("import warnings as w\nw.warn('x')\n")
+    (tmp_path / "b.py").write_text("from warnings import catch_warnings\n")
+    (tmp_path / "c.py").write_text("def late():\n    import warnings\n    return warnings\n")
+    (tmp_path / "d.py").write_text("from . import warnings\nimport numpy.warnings_like\n")
+    assert warning_importers(tmp_path) == ["a", "b", "c"]
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_imports_sees_every_spelling(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\nimport math\nimport warnings\n"
+        "import numpy as np\nimport os.path\nfrom .errors import ConfigError, SizeLimitError\n"
+        "def late():\n    from .polytope import solve as run\n    return np.ones(1)\n"
+        "def f(cfg):\n    return cfg.warnings, os.path.sep, math.pi\n"
+        "def g() -> SizeLimitError:\n    pass\n")
+    (tmp_path / "b.py").write_text("import json\nprint(json.dumps([]))\n")
+    assert unused_imports(tmp_path) == ["a: ConfigError", "a: run", "a: warnings"]
 
 
 def test_polytope_does_not_import_perturb():

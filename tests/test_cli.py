@@ -583,7 +583,20 @@ MALFORMED_REPORTS = [
     ("smoothed-profile", ("config", "trials"), True, "trials must be of type int, not bool"),
     ("submatrix-lemma", ("config", "d"), "3", "d must be of type int, not str"),
     ("smoothed-profile", ("config", "measure"), "bogus", "unknown profile measure: bogus"),
+    ("tail-rademacher", ("config", "thresholds"), "2", "thresholds must be a list of numbers"),
+    ("submatrix-lemma", ("config", "sigma_grid"), {"0.1": 0},
+     "sigma_grid must be a list of numbers"),
+    ("submatrix-lemma", ("config", "sigma_grid"), [True], "sigma_grid must be a list of numbers"),
 ]
+
+
+def malformed_ids(rows) -> list:
+    """command-key.path per row, with =value added where that repeats an earlier id."""
+    ids = []
+    for command, path, value, _ in rows:
+        name = f"{command}-{'.'.join(map(str, path))}"
+        ids.append(f"{name}={value!r}" if name in ids else name)
+    return ids
 
 
 class TestVerifyReport:
@@ -644,8 +657,7 @@ class TestVerifyReport:
         assert err.startswith(start) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, path, value, message", MALFORMED_REPORTS,
-                             ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _, _ in
-                                  MALFORMED_REPORTS])
+                             ids=malformed_ids(MALFORMED_REPORTS))
     def test_malformed_report_is_one_line_error(self, tmp_path, capsys, command, path, value,
                                                 message):
         out = tmp_path / "r.json"

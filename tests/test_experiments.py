@@ -34,7 +34,6 @@ from smoothlab.numkit import inverse_norm
 from smoothlab.bounds import iteration_bound
 from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_rooms
 from smoothlab.perturb import SeedSpec
-from smoothlab.polytope import DegeneracyWarning
 from smoothlab.reports import Report, to_csv, to_json
 from smoothlab.simplex import solve
 
@@ -372,9 +371,7 @@ def _loop_reference(trial, k, cfg, payload, sigma, first, count):
     recs = []
     for s in range(first, first + count):
         streams = iter([SeedSpec(cfg.master_seed, k * s + j).rng() for j in range(k)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegeneracyWarning)
-            recs.append(trial((cfg, payload, sigma, streams, k * s)))
+        recs.append(trial((cfg, payload, sigma, streams, k * s)))
         assert next(streams, None) is None   # the trial took all k streams
     return recs
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -20,9 +19,7 @@ from smoothlab.errors import (
 from smoothlab.experiments import ExperimentConfig, point_centers
 from smoothlab.polytope import (
     BASIS_CHUNK,
-    COINCIDENT_TOL,
     FEAS_TOL,
-    DegeneracyWarning,
     LinearProgram,
     PolytopeVertex,
     _unit_peak_rows,
@@ -76,6 +73,12 @@ class TestParseFormat:
         with pytest.raises(InvalidInputError):
             LinearProgram(np.array([[np.inf, 0.0]]), np.ones(1), np.ones(2))
 
+    @pytest.mark.parametrize("n, d", [(0, 2), (2, 0)])
+    def test_lp_needs_a_row_and_a_column(self, n, d):
+        with pytest.raises(InvalidInputError,
+                           match="constraint matrix must be n x d with n, d >= 1"):
+            LinearProgram(np.zeros((n, d)), np.ones(n), np.ones(d))
+
 
 class TestEnumeration:
     def test_box_vertices(self):
@@ -93,8 +96,7 @@ class TestEnumeration:
         # three constraints through (1, 1): every 2-subset gives the same point
         lp = LinearProgram(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                            np.array([1.0, 1.0, 2.0]), np.array([1.0, 0.0]))
-        with pytest.warns(DegeneracyWarning):
-            verts = enumerate_vertices(lp)
+        verts = enumerate_vertices(lp)
         assert len(verts) == 3
 
     def test_budget(self):
@@ -131,16 +133,8 @@ def loop_bases(lp):
 
 
 def loop_vertices(lp):
-    """Reference enumerate_vertices, with the pairwise coincidence check."""
-    verts = [PolytopeVertex(point=x, tight_set=idx) for idx, _, x in loop_bases(lp)]
-    for i in range(1, len(verts)):
-        for j in range(i):
-            if np.linalg.norm(verts[i].point - verts[j].point) < COINCIDENT_TOL:
-                warnings.warn(
-                    f"coincident vertices for bases {verts[j].tight_set} and "
-                    f"{verts[i].tight_set}", DegeneracyWarning, stacklevel=2)
-                break
-    return verts
+    """Reference enumerate_vertices."""
+    return [PolytopeVertex(point=x, tight_set=idx) for idx, _, x in loop_bases(lp)]
 
 
 def loop_initial(lp):
@@ -150,21 +144,12 @@ def loop_initial(lp):
     return None
 
 
-def _warned(fn, lp):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(lp)
-    assert all(w.category is DegeneracyWarning for w in caught)
-    return out, [str(w.message) for w in caught]
-
-
 def assert_scan_matches_loop(lp):
-    verts, messages = _warned(enumerate_vertices, lp)
-    ref, ref_messages = _warned(loop_vertices, lp)
+    verts = enumerate_vertices(lp)
+    ref = loop_vertices(lp)
     assert [v.tight_set for v in verts] == [v.tight_set for v in ref]
     assert all(type(i) is int for v in verts for i in v.tight_set)
     assert all(np.array_equal(v.point, r.point) for v, r in zip(verts, ref))
-    assert messages == ref_messages
     ref_start = loop_initial(lp)
     if ref_start is None:
         assert find_initial_vertex(lp) is None
@@ -258,8 +243,6 @@ class TestScanMatchesLoop:
     def test_recession_lp_flags_coincident_bases(self):
         lp = recession_lp(np.random.default_rng(3).standard_normal((8, 3)))
         assert math.comb(lp.n, lp.d) > BASIS_CHUNK
-        _, messages = _warned(enumerate_vertices, lp)
-        assert messages
         assert_scan_matches_loop(lp)
 
     def test_many_chunks(self):
@@ -298,7 +281,7 @@ class TestRankAfterFeasibility:
         x = np.linalg.solve(lp.A[[0, 1]], lp.b[[0, 1]])
         assert np.array_equal(x, [1.0, 0.0]) and np.all(lp.A @ x - lp.b <= FEAS_TOL)
         assert np.linalg.cond(lp.A[[0, 1]]) > 1e12
-        assert (0, 1) not in [v.tight_set for v in _quiet_vertices(lp)]
+        assert (0, 1) not in [v.tight_set for v in enumerate_vertices(lp)]
         assert find_initial_vertex(lp)[0].tight_set != (0, 1)
         assert_scan_matches_loop(lp)
 
@@ -435,22 +418,16 @@ class TestSingularBasesDropped:
 # --------------------------------------------------------------------------
 # the box-truncated scans that recession_directions and is_feasible replaced
 
-def _quiet_vertices(lp):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegeneracyWarning)
-        return enumerate_vertices(lp)
-
-
 def truncated_cone_rays(a):
     """Reference rays: the nonzero vertices of the box-truncated recession cone."""
-    pts = [v.point for v in _quiet_vertices(recession_lp(a)) if np.linalg.norm(v.point) > 1e-9]
+    pts = [v.point for v in enumerate_vertices(recession_lp(a)) if np.linalg.norm(v.point) > 1e-9]
     return np.array(pts).reshape(-1, a.shape[1])
 
 
 def homogenized_feasible(lp):
     """Reference feasibility: {(x, s) : Ax - bs <= 0, s >= 0, |x_i|, |s| <= 1} has s > 0."""
     cone = np.vstack([np.hstack([lp.A, -lp.b[:, None]]), -np.eye(lp.d + 1)[-1:]])
-    return any(v.point[-1] > 1e-9 for v in _quiet_vertices(recession_lp(cone)))
+    return any(v.point[-1] > 1e-9 for v in enumerate_vertices(recession_lp(cone)))
 
 
 def decisions(rays, lp, q):
@@ -615,6 +592,11 @@ class TestShadowPolygon:
         with pytest.raises(InvalidInputError) as exc:
             unit_lp(rows, [0.0, 1.0])
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("t", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    def test_plane_vector_must_match_the_lp(self, t):
+        with pytest.raises(InvalidInputError, match="plane vectors must share a dimension"):
+            shadow_polygon(unit_lp(CUBE3, [0.0, 1.0, 0.0]), t)
 
 
 class TestShadowSizeBound:

@@ -152,7 +152,6 @@ def small_lps(draw):
 
 
 class TestSolveMatchesOracleProperty:
-    @pytest.mark.filterwarnings("ignore::smoothlab.polytope.DegeneracyWarning")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_lps())
     def test_status_and_objective(self, lp):
