@@ -141,6 +141,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     out_dir = os.path.dirname(os.path.abspath(args.output_path))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
+    if os.path.isdir(args.output_path):
+        raise ConfigError(f"--out is a directory: {args.output_path}")
     return cfg
 
 

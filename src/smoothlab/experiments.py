@@ -276,6 +276,9 @@ def _trial_profile(args):
     if not np.all(pert.any(axis=1)):
         return {"measure": 0, "status": "degenerate_zero_row"}
     inst = PerceptronInstance(pert)
+    # nu = 0, as in tail-perceptron: record a run to the cap without running it
+    if wiggle_rooms([inst])[0] <= 0.0:
+        return {"measure": PROFILE_ITERATION_CAP, "status": "iteration_cap_reached"}
     run = run_perceptron(inst, iteration_cap=PROFILE_ITERATION_CAP)
     return {"measure": run.iterations, "status": run.status}
 

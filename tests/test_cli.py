@@ -482,6 +482,13 @@ class TestFixtureCommands:
         assert doc["margin"] == pytest.approx(1 / math.sqrt(2))
         assert doc["iterations"] <= 2
 
+    def test_run_perceptron_infeasible_runs_to_the_default_cap(self, tmp_path, capsys):
+        inst = tmp_path / "p.inst"
+        inst.write_text("2 2\n1 0\n-1 0\n")
+        assert run(["run-perceptron", str(inst)]) == 0
+        assert capsys.readouterr().out == ('{"final_x": null, "iterations": 100000, '
+                                           '"margin": 0.0, "status": "iteration_cap_reached"}\n')
+
     @pytest.mark.filterwarnings("error")
     def test_run_perceptron_rows_whose_squares_underflow(self, tmp_path, capsys):
         inst = tmp_path / "p.inst"
@@ -842,8 +849,9 @@ class TestOutput:
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
-    def test_out_is_a_directory(self, tmp_path):
+    def test_out_is_a_directory(self, tmp_path, capsys, no_trials):
         assert run(self.ARGS + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: --out is a directory: {tmp_path}\n"
         assert list(tmp_path.iterdir()) == []
 
 

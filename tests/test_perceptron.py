@@ -1,5 +1,5 @@
+import itertools
 import math
-from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,13 +21,11 @@ from smoothlab.errors import (
 from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
 from smoothlab.numkit import norm
 from smoothlab.perceptron import (
-    CERTIFY_STEP,
     PerceptronInstance,
     PerceptronRun,
     parse_instance,
     run_perceptron,
     wiggle_rooms,
-    _certified_infeasible,
 )
 from smoothlab.perturb import SeedSpec, smoothed_input
 
@@ -275,23 +273,6 @@ class TestLoopMatchesReference:
 
 
 class TestCycleDetection:
-    def test_opposite_pair_ends_at_cap(self):
-        inst = PerceptronInstance([[1.0, 0.0], [-1.0, 0.0]])
-        for rule in RULES:
-            run = run_perceptron(inst, iteration_cap=10 ** 6, rule=rule)
-            assert run == PerceptronRun(10 ** 6, None, "iteration_cap_reached")
-
-    def test_profile_box_center_sigma0(self):
-        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.0,),
-                               measure="perceptron_iterations")
-        center_id, center = profile_center_set(cfg)[0]
-        assert center_id == "box"
-        inst = PerceptronInstance(center)
-        for rule in RULES:
-            assert _reference_run(inst, 1000, rule).status == "iteration_cap_reached"
-            run = run_perceptron(inst, iteration_cap=10 ** 7, rule=rule)
-            assert run == PerceptronRun(10 ** 7, None, "iteration_cap_reached")
-
     def test_cycle_after_long_pre_period(self):
         inst = PerceptronInstance([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, -1.0]])
         states = visited_states(inst, 39)
@@ -299,8 +280,6 @@ class TestCycleDetection:
         assert states[12:] == states[12:14] * 14   # pre-period 12, period 2
         for cap in range(1, 41):
             assert_same_run(inst, cap, "lowest_index")
-        run = run_perceptron(inst, iteration_cap=10 ** 6)
-        assert run == PerceptronRun(10 ** 6, None, "iteration_cap_reached")
 
     def test_late_solve_is_not_cut_short(self):
         # a thin slab: the first two coordinates of x wander for thousands of
@@ -317,7 +296,46 @@ class TestCycleDetection:
             assert_same_run(inst, steps - 1, rule)
 
 
-SIGMAS = (0.05, 0.1, 0.3)
+def profile_blocks(n, d, sigma, trials=20):
+    """(instance, record) of the first trials of every built-in perceptron
+    profile center at seed 1, the records from the profile's block worker."""
+    cfg = ExperimentConfig(kind="smoothed_profile", n=n, d=d, sigma_grid=(sigma,),
+                           measure="perceptron_iterations", master_seed=1)
+    for _, center in profile_center_set(cfg):
+        records = experiments._block_profile((cfg, center, sigma, 0, trials))
+        for stream, rec in enumerate(records):
+            pts = smoothed_input(center.ravel(), sigma, SeedSpec(1, stream).rng())
+            yield PerceptronInstance(pts.reshape(center.shape)), rec
+
+
+CAPPED = {"measure": experiments.PROFILE_ITERATION_CAP, "status": "iteration_cap_reached"}
+
+
+class TestProfileMarginRule:
+    def test_profile_runs_the_loop_only_when_nu_is_positive(self):
+        seen = {True: 0, False: 0}
+        for (n, d), sigma in itertools.product(((6, 2), (8, 3)), (0.0, 0.05, 0.1, 0.2)):
+            for inst, rec in profile_blocks(n, d, sigma):
+                feasible = wiggle_rooms([inst])[0] > 0.0
+                seen[feasible] += 1
+                cap = experiments.PROFILE_ITERATION_CAP if feasible else 1000
+                want = _reference_run(inst, cap)
+                if feasible:
+                    assert rec == {"measure": want.iterations, "status": want.status}
+                else:
+                    assert rec == CAPPED and want.status == "iteration_cap_reached"
+        assert min(seen.values()) >= 100
+
+    def test_nu_zero_trials_never_call_the_loop(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_perceptron ran")
+        monkeypatch.setattr(experiments, "run_perceptron", fail)
+        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.0, 0.1),
+                               measure="perceptron_iterations", master_seed=1)
+        center_id, center = profile_center_set(cfg)[0]
+        assert center_id == "box"
+        for sigma in cfg.sigma_grid:
+            assert experiments._block_profile((cfg, center, sigma, 0, 20)) == [CAPPED] * 20
 
 
 def _reference_wolfe(points, counts):
@@ -465,7 +483,7 @@ class TestLstsqGuard:
 class TestNormalizedOnce:
     def test_read_only(self):
         inst = PerceptronInstance([[3.0, 4.0], [0.0, -2.0]])
-        for array in (inst.unit, inst.points, inst.norms):
+        for array in (inst.unit, inst.points):
             with pytest.raises(ValueError):
                 array[0, ...] = 1.0
 
@@ -485,7 +503,6 @@ class TestNormalizedOnce:
             inst = PerceptronInstance(pts)
             want = inst.points / norm(inst.points, axis=1)[:, None]
             assert inst.unit.tobytes() == want.tobytes()
-            assert inst.norms.tobytes() == norm(inst.points, axis=1).tobytes()
 
     @pytest.mark.filterwarnings("ignore::samplers.RegimeWarning")
     def test_one_norm_per_tail_trial(self):
@@ -495,124 +512,6 @@ class TestNormalizedOnce:
             records = experiments._block_perceptron_tail((cfg, point_centers(cfg), 0.2, 0, 10))
         assert spy.call_count == 10
         assert sum(r["feasible"] for r in records) >= 5   # so run_perceptron ran too
-
-    def test_one_norm_per_certified_run(self):
-        certified = []
-
-        def certify(inst, iteration_cap):
-            certified.append(_certified_infeasible(inst, iteration_cap))
-            return certified[-1]
-        with mock.patch.object(perceptron, "norm", wraps=norm) as spy, \
-                mock.patch.object(perceptron, "_certified_infeasible", certify):
-            inst = PerceptronInstance([[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]])
-            run = run_perceptron(inst, 10 ** 5)
-        assert run.status == "iteration_cap_reached" and certified == [True]
-        assert spy.call_count == 1
-
-
-def certificate_family(d, streams):
-    """(center, instance): box, stretched and zero centers with n = 2d + 2
-    rows, plus additive Gaussian noise; sigma cycles through SIGMAS."""
-    for src in ("box", "stretched", "zero"):
-        centers = point_centers(ExperimentConfig(kind="perceptron_tail", n=2 * d + 2, d=d,
-                                                 center_source=src))
-        for stream in range(streams):
-            sigma = SIGMAS[(d + stream) % len(SIGMAS)]
-            noise = SeedSpec(6, 100 * d + stream).rng().standard_normal(centers.shape)
-            yield src, PerceptronInstance(centers + sigma * noise)
-
-
-def exact_sign(row, x):
-    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(row, x))
-    return (dot > 0) - (dot < 0)
-
-
-class TestInfeasibilityCertificate:
-    # the origin lies inside this triangle, ~5e-17 from its long edges:
-    # below the rounding bound, so runs on it are left to the loop
-    SHALLOW = PerceptronInstance([[1.0, 0.0], [-1.0, 1e-16], [-1.0, -1e-16]])
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_certified_instances_reach_the_cap(self, d):
-        certified = 0
-        for _, inst in certificate_family(d, streams=1):
-            if _certified_infeasible(inst, 10 ** 5):
-                certified += 1
-                want = assert_same_run(inst, 10 ** 5, "lowest_index")
-                assert (want.status, want.iterations) == ("iteration_cap_reached", 10 ** 5)
-        assert certified >= 1
-
-    def test_fires_on_infeasible_box_instances_only(self):
-        infeasible_box = certified_box = 0
-        for d in range(2, 6):
-            for src, inst in certificate_family(d, streams=10):
-                certified = _certified_infeasible(inst, 10 ** 5)
-                nu = wiggle_rooms([inst])[0]
-                assert not (certified and nu > 0)
-                if src == "box" and nu == 0.0:
-                    infeasible_box += 1
-                    certified_box += certified
-        assert infeasible_box >= 30
-        assert certified_box >= 0.95 * infeasible_box
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=st.tuples(st.integers(1, 5), st.integers(0, 8)).flatmap(
-               lambda dk: st.tuples(
-                   arrays(np.float64, (dk[0] + 1 + dk[1], dk[0]),
-                          elements=st.floats(-4.0, 4.0)),
-                   arrays(np.float64, dk[0], elements=st.floats(-4.0, 4.0)))))
-    def test_property_feasible_is_never_certified(self, case):
-        rows, x_star = case
-        # flip each row to the side where a_i . x_star > 0 exactly (negation
-        # is exact); rows orthogonal to x_star are dropped
-        signs = [exact_sign(r, x_star) for r in rows]
-        rows = [sign * r for sign, r in zip(signs, rows) if sign != 0]
-        if not rows or np.any(np.linalg.norm(rows, axis=1) == 0.0):
-            return
-        inst = PerceptronInstance(np.array(rows))
-        assert not _certified_infeasible(inst, 10 ** 5)
-        # nor when any d+1 rows are proposed in place of Wolfe's active set
-        proposal = list(range(inst.d + 1))
-        if inst.n > inst.d:
-            with mock.patch.object(perceptron, "min_norm_point", lambda stack: (None, [proposal])):
-                assert not _certified_infeasible(inst, 10 ** 5)
-
-    def test_shallow_origin_is_not_certified(self, monkeypatch):
-        assert not _certified_infeasible(self.SHALLOW, 10 ** 5)
-        for rule in RULES:
-            assert_same_run(self.SHALLOW, 3 * CERTIFY_STEP, rule)
-        # the exact test rejects the shallow triangle and a simplex that
-        # misses the origin even when they are proposed
-        monkeypatch.setattr(perceptron, "min_norm_point", lambda stack: (None, [[0, 1, 2]]))
-        assert not _certified_infeasible(self.SHALLOW, 10 ** 5)
-        assert not _certified_infeasible(
-            PerceptronInstance([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]), 10 ** 5)
-        assert _certified_infeasible(
-            PerceptronInstance([[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]]), 10 ** 5)
-
-    def test_one_attempt_only_at_the_checkpoint(self, monkeypatch):
-        attempts = []
-
-        def counted(inst, iteration_cap):
-            attempts.append(iteration_cap)
-            return _certified_infeasible(inst, iteration_cap)
-        monkeypatch.setattr(perceptron, "_certified_infeasible", counted)
-        assert run_perceptron(PerceptronInstance([[1.0, 0.1], [1.0, -0.1]]), 10 ** 5).iterations == 1
-        assert attempts == []
-        assert run_perceptron(self.SHALLOW, 4 * CERTIFY_STEP).status == "iteration_cap_reached"
-        assert attempts == [4 * CERTIFY_STEP]
-
-    def test_profile_box_sigma_01_at_a_huge_cap(self):
-        cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.1,),
-                               measure="perceptron_iterations")
-        center_id, center = profile_center_set(cfg)[0]
-        assert center_id == "box"
-        inst = PerceptronInstance(smoothed_input(center.ravel(), 0.1,
-                                                 SeedSpec(1, 0).rng()).reshape(center.shape))
-        assert _certified_infeasible(inst, 10 ** 9)   # else the loop below takes hours
-        for rule in RULES:
-            run = run_perceptron(inst, iteration_cap=10 ** 9, rule=rule)
-            assert run == PerceptronRun(10 ** 9, None, "iteration_cap_reached")
 
 
 class TestBounds:
