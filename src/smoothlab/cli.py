@@ -138,6 +138,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("--per-trial requires --format json")
     if "output_path" not in options:
         raise ConfigError("--out is required")
+    if os.path.basename(args.output_path) in ("", os.curdir, os.pardir):
+        raise ConfigError(f"--out names no file: {args.output_path!r}")
     out_dir = os.path.dirname(os.path.abspath(args.output_path))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")

@@ -21,7 +21,7 @@ from . import bounds
 from .errors import ConfigError, InvalidInputError, SizeLimitError, UnboundedShadowError
 from .numkit import inverse_norm, norm, parse_table
 from .perceptron import RULES, PerceptronInstance, run_perceptron, wiggle_rooms
-from .perturb import block_streams, smoothed_input
+from .perturb import block_streams
 from .polytope import LinearProgram, basis_chunks, brute_force_optimum, shadow_polygon
 from .reports import SCHEMA_VERSION, Report, read_text_file
 from .simplex import solve
@@ -264,8 +264,9 @@ def _trial_simplex_pivots(args):
 
 def _trial_profile(args):
     cfg, center, sigma, streams, _ = args
-    # the stream is taken even at sigma = 0, where nothing is drawn from it
-    pert = smoothed_input(center.ravel(), sigma, next(streams)).reshape(center.shape)
+    rng = next(streams)   # taken even at sigma = 0, where nothing is drawn from it
+    scale = sigma * norm(center)
+    pert = center + scale * rng.standard_normal(center.shape) if scale else center
     if cfg.measure == "simplex_pivots":
         n, d = center.shape
         z = np.ones(d) / math.sqrt(d)

@@ -1,12 +1,11 @@
-"""Reproducible random models: seed streams and Gaussian perturbations.
+"""Reproducible seed streams.
 
 Every sampled value is fully determined by a ``SeedSpec``: a 64-bit master
 seed plus a nonnegative stream index. Stream i is numpy's PCG64 seeded with
 ``SeedSequence(master_seed, spawn_key=(stream_index,))``, so distinct stream
 indices give statistically independent streams and parallel runs reproduce
-serial ones exactly. Gaussians come from the generator's standard_normal
-(ziggurat); determinism is guaranteed within this implementation, not across
-languages.
+serial ones exactly. A stream's draws are deterministic within this
+implementation (numpy's generators), not across languages.
 
 ``SeedSpec.rng()`` is the reference. Every sampled kind takes its streams
 from ``block_streams``, which derives a whole block of them in bulk,
@@ -17,13 +16,11 @@ once per block: if numpy ever changes its seeding, a run fails with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, StreamMismatchError
-from .numkit import norm
 
 
 @dataclass(frozen=True)
@@ -133,21 +130,3 @@ def block_streams(master_seed: int, first: int, count: int):
             yield rng
         lo = hi
 
-
-def _check_sigma(sigma: float) -> float:
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 0:
-        raise InvalidInputError("sigma must be finite and nonnegative")
-    return sigma
-
-
-def smoothed_input(center_x, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Relative-magnitude perturbation x + sigma * ||x|| * g, g drawn from rng."""
-    sigma = _check_sigma(sigma)
-    x = np.asarray(center_x, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise InvalidInputError("center must be a finite 1-d vector")
-    scale = sigma * norm(x)
-    if scale == 0.0:
-        return x.copy()
-    return x + scale * rng.standard_normal(x.shape)

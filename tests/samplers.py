@@ -5,6 +5,7 @@ The batched experiment workers derive their streams in bulk
 independent reference the tests check them against.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -12,11 +13,18 @@ import numpy as np
 from smoothlab.errors import InvalidInputError
 from smoothlab.bounds import regime_notes
 from smoothlab.numkit import norm
-from smoothlab.perturb import SeedSpec, _check_sigma
+from smoothlab.perturb import SeedSpec
 
 
 class RegimeWarning(UserWarning):
     """Sampled outside the hypothesis regime of the bound under test."""
+
+
+def _check_sigma(sigma: float) -> float:
+    sigma = float(sigma)
+    if not math.isfinite(sigma) or sigma < 0:
+        raise InvalidInputError("sigma must be finite and nonnegative")
+    return sigma
 
 
 def gaussian_matrix(center, sigma: float, seed: SeedSpec) -> np.ndarray:

@@ -854,6 +854,14 @@ class TestOutput:
         assert capsys.readouterr().err == f"error: --out is a directory: {tmp_path}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["newdir/", "o.csv/", "", "newdir/.", "newdir/.."])
+    def test_out_names_no_file(self, tmp_path, monkeypatch, capsys, no_trials, out):
+        # each of these would fail only at the write, after every trial
+        monkeypatch.chdir(tmp_path)
+        assert run(self.ARGS + ["--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out names no file: {out!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def readme_commands():
     """The argv of each `smoothlab ...` line in README.md's sh blocks, continuations joined."""

@@ -34,6 +34,7 @@ from smoothlab.numkit import inverse_norm
 from smoothlab.bounds import iteration_bound
 from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_rooms
 from smoothlab.perturb import SeedSpec
+from smoothlab.polytope import LinearProgram
 from smoothlab.reports import Report, to_csv, to_json
 from smoothlab.simplex import solve
 
@@ -275,6 +276,37 @@ class TestSmoothedProfile:
                                trials=4, master_seed=2, measure="perceptron_iterations")
         assert (run_experiment(dataclasses.replace(cfg, rule="most_violated")).rows
                 == run_experiment(cfg).rows)
+
+    @pytest.mark.parametrize("n, d", [(6, 2), (8, 3)])
+    def test_draw_is_center_plus_frobenius_scaled_gaussian(self, n, d):
+        # the profile's model: C + (sigma ||C||_F) G, G the trial stream's standard normals
+        for sigma in (0.0, 0.05, 0.2):
+            cfg = ExperimentConfig(kind="smoothed_profile", n=n, d=d, sigma_grid=(sigma,),
+                                   master_seed=3, measure="simplex_pivots")
+            for _, center in profile_center_set(cfg):
+                records = _block_profile((cfg, center, sigma, 0, 20))
+                for stream, rec in enumerate(records):
+                    g = SeedSpec(3, stream).rng().standard_normal(center.shape)
+                    rows = center + (sigma * np.linalg.norm(center)) * g
+                    want = solve(LinearProgram(rows, np.ones(n), np.ones(d) / math.sqrt(d)))
+                    assert rec == {"measure": want.pivot_count, "status": want.status}
+
+    @pytest.mark.parametrize("rows, sigma", [
+        ([[-0.0, 1.0], [1.0, -0.0], [-1.0, -1.0]], 0.0),
+        ([[0.0, 0.0], [0.0, 0.0]], 0.1),
+    ], ids=["signed_zeros_at_sigma_0", "zero_center_at_sigma_0.1"])
+    def test_zero_scale_runs_the_center_itself(self, tmp_path, monkeypatch, rows, sigma):
+        seen = []
+
+        def capture(lp):
+            seen.append(lp.A.tobytes())
+            return solve(lp)
+        monkeypatch.setattr(experiments, "solve", capture)
+        cfg = ExperimentConfig(kind="smoothed_profile", d=2, sigma_grid=(sigma,), trials=2,
+                               center_source=_write_centers(tmp_path / "c.inst", rows),
+                               measure="simplex_pivots")
+        run_experiment(cfg)
+        assert seen == [np.array(rows).tobytes()] * 2
 
 
 class TestSerialization:

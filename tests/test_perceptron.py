@@ -27,7 +27,7 @@ from smoothlab.perceptron import (
     run_perceptron,
     wiggle_rooms,
 )
-from smoothlab.perturb import SeedSpec, smoothed_input
+from smoothlab.perturb import SeedSpec
 
 from oracles import wiggle_room_grid
 from samplers import gaussian_points
@@ -241,8 +241,8 @@ class TestLoopMatchesReference:
         for center_id, center in profile_center_set(cfg)[:2]:
             assert center_id in ("box", "stretched")
             for stream in range(6):
-                pts = smoothed_input(center.ravel(), 0.1, SeedSpec(1, stream).rng())
-                inst = PerceptronInstance(pts.reshape(center.shape))
+                g = SeedSpec(1, stream).rng().standard_normal(center.shape)
+                inst = PerceptronInstance(center + 0.1 * norm(center) * g)
                 for rule in RULES:
                     assert_same_run(inst, 3000, rule)
 
@@ -304,8 +304,8 @@ def profile_blocks(n, d, sigma, trials=20):
     for _, center in profile_center_set(cfg):
         records = experiments._block_profile((cfg, center, sigma, 0, trials))
         for stream, rec in enumerate(records):
-            pts = smoothed_input(center.ravel(), sigma, SeedSpec(1, stream).rng())
-            yield PerceptronInstance(pts.reshape(center.shape)), rec
+            g = SeedSpec(1, stream).rng().standard_normal(center.shape)
+            yield PerceptronInstance(center + sigma * norm(center) * g), rec
 
 
 CAPPED = {"measure": experiments.PROFILE_ITERATION_CAP, "status": "iteration_cap_reached"}

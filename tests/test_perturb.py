@@ -11,7 +11,7 @@ from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError, StreamMismatchError
 from smoothlab.experiments import ExperimentConfig, run_experiment
 from smoothlab.numkit import norm
-from smoothlab.perturb import SeedSpec, block_streams, smoothed_input
+from smoothlab.perturb import SeedSpec, block_streams
 
 from samplers import RegimeWarning, gaussian_matrix, gaussian_points, rademacher_matrix
 
@@ -234,23 +234,3 @@ class TestRademacher:
         with pytest.raises(InvalidInputError):
             rademacher_matrix(0, SeedSpec(0))
 
-
-class TestSmoothedInput:
-    def test_zero_center_unperturbed(self):
-        x = np.zeros(4)
-        assert np.array_equal(smoothed_input(x, 0.5, SeedSpec(0).rng()), x)
-
-    def test_zero_sigma_unperturbed(self):
-        x = np.array([1.0, 2.0])
-        assert np.array_equal(smoothed_input(x, 0.0, SeedSpec(0).rng()), x)
-
-    def test_relative_scale(self):
-        x = np.array([3.0, 4.0])  # norm 5
-        seed = SeedSpec(77, 2)
-        out = smoothed_input(x, 0.1, seed.rng())
-        g = seed.rng().standard_normal(2)
-        assert np.allclose(out, x + 0.5 * g)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(InvalidInputError):
-            smoothed_input(np.zeros((2, 2)), 0.1, SeedSpec(0).rng())
