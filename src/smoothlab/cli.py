@@ -7,23 +7,14 @@ parameters, 3 desk-scale size limit exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
-from .experiments import (
-    BUILTIN_CENTERS,
-    KINDS,
-    MEASURES,
-    ExperimentConfig,
-    run_experiment,
-    verify_replay,
-)
-from .perceptron import RULES, parse_instance, run_perceptron, wiggle_rooms
-from .polytope import parse_lp
+from .kinds import BUILTIN_CENTERS, KINDS, MEASURES, RULES, ExperimentConfig, verify_replay
 from .reports import load_json_report, read_text_file, write_report
-from .simplex import solve
 
 KIND_BY_COMMAND = {kind.command: name for name, kind in KINDS.items()}
 
@@ -148,7 +139,14 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
+    from . import experiments   # imported here: only a command that runs trials loads numpy
+    return experiments.run_experiment(cfg, jobs)
+
+
 def _run_solve_lp(args) -> int:
+    from .polytope import parse_lp
+    from .simplex import solve
     lp = parse_lp(read_text_file(args.file, "LP file"))
     trace = solve(lp)
     doc = trace.to_json_dict()
@@ -160,6 +158,7 @@ def _run_solve_lp(args) -> int:
 
 
 def _run_perceptron_file(args) -> int:
+    from .perceptron import parse_instance, run_perceptron, wiggle_rooms
     inst = parse_instance(read_text_file(args.file, "instance file"))
     nu = wiggle_rooms([inst])[0]
     run = run_perceptron(inst, iteration_cap=args.cap, rule=args.rule)
@@ -209,7 +208,9 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    gc.freeze()   # the exit-time collection then walks none of the heap the OS reclaims
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, LapackMismatchError
+from .kinds import RULES
 from .numkit import norm, parse_table
 
 HULL_TOL = 1e-8          # origin within this of the hull -> margin 0
 MNP_GAP_TOL = 1e-12      # Wolfe duality-gap termination
 MNP_MAX_ITER = 10000     # Wolfe major cycles, and minor cycles per major cycle
-RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 
 
 @dataclass(frozen=True)

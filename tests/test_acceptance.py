@@ -14,7 +14,8 @@ import pytest
 from smoothlab.bounds import iteration_bound
 from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError
-from smoothlab.experiments import ExperimentConfig, run_experiment, verify_replay
+from smoothlab.experiments import run_experiment
+from smoothlab.kinds import ExperimentConfig, verify_replay
 from smoothlab.numkit import inverse_norm
 from smoothlab.perceptron import (
     PerceptronInstance,

@@ -1,9 +1,9 @@
 """src/ holds only what a command runs, none of it leans on test code, one
 guarded function holds its one private numpy dependency, no module takes
 another's private names, every closed-form bound lives in `bounds`, apart
-from the code it is checked against, the package root, `errors`, `bounds`
-and `reports` load no numpy, no module imports `warnings`, and every imported
-name is used."""
+from the code it is checked against, the package root, `errors`, `bounds`,
+`reports` and `kinds` load no numpy, no module imports `warnings`, and every
+imported name is used."""
 
 import ast
 import os
@@ -14,7 +14,7 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "smoothlab"
 TEST_ONLY = {"samplers", "oracles", "pytest", "hypothesis"}
-NUMPY_FREE = ("errors", "bounds", "reports")   # importing these loads no numpy
+NUMPY_FREE = ("errors", "bounds", "reports", "kinds")   # importing these loads no numpy
 
 
 def parse_modules(src: pathlib.Path) -> dict:

@@ -13,7 +13,7 @@ import smoothlab
 import smoothlab.cli
 import smoothlab.reports
 from smoothlab.cli import KIND_BY_COMMAND, build_parser, cli_main
-from smoothlab.experiments import ExperimentConfig
+from smoothlab.kinds import ExperimentConfig
 
 CSV_HEADER = ("sigma,threshold,empirical,stderr,"
               "bound_edelman,bound_sst,bound_thm43,bound_conj1")
@@ -413,6 +413,74 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
+def test_replaced_run_experiment_intercepts_a_run(tmp_path, monkeypatch):
+    # cli.run_experiment loads the run side on first use; a stand-in put in
+    # its place runs instead, as bench/probe.py and bench/inproc.py rely on
+    seen = []
+
+    def fake(cfg, jobs=1):
+        seen.append((cfg.kind, cfg.trials, jobs))
+        return smoothlab.reports.Report(schema="x.v1", config={}, columns=["a"],
+                                        rows=[{"a": 1}])
+    monkeypatch.setattr(smoothlab.cli, "run_experiment", fake)
+    out = tmp_path / "r.csv"
+    assert run(["tail-matrix", "--d", "2", "--sigma", "1", "--threshold", "5",
+                "--trials", "9", "--jobs", "3", "--out", str(out)]) == 0
+    assert seen == [("matrix_tail", 9, 3)]
+    assert out.read_text() == "# schema=x.v1\na\n1\n"
+
+
+# python -c NO_NUMPY ARGV runs python -m smoothlab.cli ARGV where numpy cannot be imported
+NO_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
+            "runpy.run_module('smoothlab.cli', run_name='__main__', alter_sys=True)")
+
+
+class TestWithoutNumpy:
+    """verify-report, --help and a refused command answer without numpy."""
+
+    def test_verify_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run([*REPLAYED["tail-matrix"], "--format", "json", "--per-trial",
+                    "--out", str(out)]) == 0
+        done = _python(["-c", NO_NUMPY, "verify-report", str(out)], tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "replay ok\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["tail-perceptron", "--help"]])
+    def test_help(self, tmp_path, argv):
+        done = _python(["-c", NO_NUMPY, *argv], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: smoothlab")
+
+    def test_bad_flag(self, tmp_path):
+        done = _python(["-c", NO_NUMPY, "tail-matrix", "--d", "2", "--bogus"], tmp_path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: unrecognized arguments: --bogus\n"
+
+    def test_a_run_needs_numpy(self, tmp_path):   # the stand-in does block numpy
+        done = _python(["-c", NO_NUMPY, *REPLAYED["tail-matrix"], "--out", "r.csv"], tmp_path)
+        assert done.returncode == 1 and "numpy" in done.stderr
+
+
+@pytest.mark.parametrize("argv, kernels", [
+    (["tail-matrix", "--d", "2", "--sigma", "1", "--threshold", "5", "--trials", "3"], []),
+    (["tail-rademacher", "--d", "2", "--threshold", "2", "--exhaustive"], []),
+    (["submatrix-lemma", "--n", "6", "--d", "3", "--sigma", "0.1", "--trials", "2",
+      "--center", "box"], ["polytope"]),
+    (["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "0.1", "--threshold", "2",
+      "--trials", "2", "--center", "ones"], ["perceptron"]),
+    (["smoothed-profile", "--n", "6", "--d", "2", "--sigma", "0.1", "--trials", "2"],
+     ["polytope", "simplex"]),
+], ids=["tail-matrix", "tail-rademacher", "submatrix-lemma", "tail-perceptron",
+        "smoothed-profile"])
+def test_a_run_loads_only_its_kernels(tmp_path, argv, kernels):
+    code = ("import sys; from smoothlab.cli import cli_main; "
+            f"rc = cli_main({argv + ['--out', 'r.csv']!r}); "
+            "print(rc, [m for m in ('polytope', 'simplex', 'perceptron') "
+            "if 'smoothlab.' + m in sys.modules])")
+    done = _python(["-c", code], tmp_path)
+    assert (done.stdout, done.stderr) == (f"0 {kernels}\n", "")
+
+
 class TestModuleEntryPoint:
     """python -m smoothlab.cli reads its flags, and the config file, from sys.argv."""
 
@@ -572,6 +640,8 @@ class TestFixtureCommands:
 
 
 REPLAYED = {
+    "tail-matrix": ["tail-matrix", "--d", "2", "--sigma", "1.0", "--threshold", "5",
+                    "--trials", "5"],
     "tail-rademacher": ["tail-rademacher", "--d", "2", "--threshold", "2", "--exhaustive"],
     "submatrix-lemma": ["submatrix-lemma", "--n", "6", "--d", "3", "--sigma", "0.1",
                         "--trials", "5", "--center", "box"],
@@ -594,6 +664,20 @@ MALFORMED_REPORTS = [
     ("submatrix-lemma", ("config", "sigma_grid"), {"0.1": 0},
      "sigma_grid must be a list of numbers"),
     ("submatrix-lemma", ("config", "sigma_grid"), [True], "sigma_grid must be a list of numbers"),
+    # labels that contradict the records, checked after the config and the rows
+    ("tail-matrix", ("schema",), "shadow_size.v9",
+     "schema is 'shadow_size.v9', not 'matrix_tail.v1'"),
+    ("submatrix-lemma", ("schema",), "matrix_tail.v1",
+     "schema is 'matrix_tail.v1', not 'submatrix_lemma.v1'"),
+    ("tail-matrix", ("columns",), ["bogus"],
+     f"columns are ['bogus'], not {CSV_HEADER.split(',')!r}"),
+    ("tail-matrix", ("config", "trials"), 7, "per-trial group 0 holds 5 records, not 7"),
+    ("submatrix-lemma", ("per_trial", 0, "sums"), [1, 1, 1],
+     "per-trial group 0 holds 3 records, not 5"),
+    ("tail-rademacher", ("per_trial", 0, "values"), [2.0, 3.0],
+     "per-trial group 0 holds 2 records, not 16"),
+    ("tail-rademacher", ("config", "exhaustive"), False,
+     "per-trial group 0 holds 16 records, not 1"),
 ]
 
 
@@ -680,6 +764,15 @@ class TestVerifyReport:
         assert run(["verify-report", str(out)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: malformed report: {message}\n")
+
+    def test_report_without_schema_is_one_line_error(self, tmp_path, capsys):
+        out = self.make_report(tmp_path)
+        doc = json.loads(out.read_text())
+        del doc["schema"]
+        out.write_text(json.dumps(doc))
+        assert run(["verify-report", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed report: schema is None, not 'matrix_tail.v1'\n")
 
     def test_block_without_values_is_one_line_error(self, tmp_path, capsys):
         out = self.make_report(tmp_path)

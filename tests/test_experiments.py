@@ -3,20 +3,18 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from smoothlab import experiments
+from smoothlab import experiments, simplex
 from smoothlab.cli import cli_main
 from smoothlab.errors import ConfigError, OutOfRegimeError, SizeLimitError
 from smoothlab.experiments import (
     BLOCK_TRIALS,
-    KINDS,
-    ExperimentConfig,
     LOOP_BLOCK_TRIALS,
-    MEASURES,
     WOLFE_BLOCK_TRIALS,
     _block_matrix_tail,
     _block_perceptron_tail,
@@ -28,8 +26,8 @@ from smoothlab.experiments import (
     point_centers,
     profile_center_set,
     run_experiment,
-    verify_replay,
 )
+from smoothlab.kinds import KINDS, MEASURES, ExperimentConfig, verify_replay
 from smoothlab.numkit import inverse_norm
 from smoothlab.bounds import iteration_bound
 from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_rooms
@@ -198,7 +196,7 @@ class TestSimplexPivots:
             warnings.warn("overflow in a trial", RuntimeWarning)
             return solve(lp)
 
-        monkeypatch.setattr(experiments, "solve", noisy_solve)
+        monkeypatch.setattr(simplex, "solve", noisy_solve)
         with pytest.warns(RuntimeWarning, match="overflow in a trial"):
             self.box_trial(0.1)
 
@@ -301,7 +299,7 @@ class TestSmoothedProfile:
         def capture(lp):
             seen.append(lp.A.tobytes())
             return solve(lp)
-        monkeypatch.setattr(experiments, "solve", capture)
+        monkeypatch.setattr(simplex, "solve", capture)
         cfg = ExperimentConfig(kind="smoothed_profile", d=2, sigma_grid=(sigma,), trials=2,
                                center_source=_write_centers(tmp_path / "c.inst", rows),
                                measure="simplex_pivots")
@@ -438,6 +436,16 @@ class TestBlocksMatchLoops:
         for count, first, sigma in zip(COUNTS, (0, 5, 2 * BLOCK_TRIALS, 123457), (1.0, 0.5, 0.01, 3.0)):
             want = [_trial_matrix_tail((cfg, c, sigma, s)) for s in range(first, first + count)]
             assert_bit_equal(_block_matrix_tail((cfg, c, sigma, first, count)), want)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_matrix_tail_draws_as_each_stream(self, d):
+        # blocks split at odd boundaries: trial s is stream s's (d, d) draw
+        cfg = ExperimentConfig(kind="matrix_tail", d=d, master_seed=2718)
+        for first, count in ((0, 3), (3, BLOCK_TRIALS - 2), (BLOCK_TRIALS + 1, 5)):
+            want = [inverse_norm(SeedSpec(2718, s).rng().standard_normal((d, d)))
+                    for s in range(first, first + count)]
+            got = _block_matrix_tail((cfg, np.zeros((d, d)), 1.0, first, count))
+            assert_bit_equal(got, want)
 
     @pytest.mark.parametrize("seed,d", [(1, 1), (12, 2), (99, 3), (2 ** 63, 4)])
     def test_rademacher_sampled(self, seed, d):
@@ -586,6 +594,7 @@ class TestPoolSize:
         # _map_blocks imports the pool class when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: _RecordingPool(made, max_workers))
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)   # whatever the host has
         return made
 
     @pytest.mark.parametrize("sigmas,trials,jobs,pools", [
@@ -599,6 +608,28 @@ class TestPoolSize:
                                thresholds=(3.0,), trials=trials, master_seed=4)
         assert run_experiment(cfg, jobs=jobs).per_trial == run_experiment(cfg).per_trial
         assert made == pools
+
+    @pytest.mark.parametrize("jobs,cpus,pools", [
+        (5000, 4, [4]),   # nine blocks, capped at the CPU count
+        (3, 2, [2]),
+        (3, 8, [3]),
+        (2, 1, []),       # one CPU: no pool at all
+    ])
+    def test_workers_capped_at_cpus(self, made, monkeypatch, jobs, cpus, pools):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        cfg = ExperimentConfig(kind="matrix_tail", d=2, sigma_grid=(1.0, 0.5, 0.25),
+                               thresholds=(3.0,), trials=3 * BLOCK_TRIALS, master_seed=4)
+        assert run_experiment(cfg, jobs=jobs).per_trial == run_experiment(cfg).per_trial
+        assert made == pools
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert experiments._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)   # undeterminable
+        assert experiments._usable_cpus() == 1
 
     def test_cli_huge_jobs_on_two_trials(self, made, tmp_path):
         assert cli_main(["tail-perceptron", "--n", "6", "--d", "2", "--sigma", "0.1", "0.2",

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab.errors import InvalidInputError
-from smoothlab.experiments import ExperimentConfig, _block_submatrix, point_centers
+from smoothlab.experiments import _block_submatrix, point_centers
+from smoothlab.kinds import ExperimentConfig
 from smoothlab.numkit import inverse_norm, norm, parse_table
 from smoothlab.perturb import SeedSpec
 

@@ -18,7 +18,8 @@ from smoothlab.errors import (
     LapackMismatchError,
     OutOfRegimeError,
 )
-from smoothlab.experiments import ExperimentConfig, point_centers, profile_center_set
+from smoothlab.experiments import point_centers, profile_center_set
+from smoothlab.kinds import ExperimentConfig
 from smoothlab.numkit import norm
 from smoothlab.perceptron import (
     PerceptronInstance,
@@ -329,7 +330,7 @@ class TestProfileMarginRule:
     def test_nu_zero_trials_never_call_the_loop(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("run_perceptron ran")
-        monkeypatch.setattr(experiments, "run_perceptron", fail)
+        monkeypatch.setattr(perceptron, "run_perceptron", fail)
         cfg = ExperimentConfig(kind="smoothed_profile", n=6, d=2, sigma_grid=(0.0, 0.1),
                                measure="perceptron_iterations", master_seed=1)
         center_id, center = profile_center_set(cfg)[0]

@@ -9,7 +9,8 @@ from smoothlab import perturb
 from smoothlab.bounds import regime_notes, variance_regime_limit, variance_regime_note
 from smoothlab.cli import cli_main
 from smoothlab.errors import InvalidInputError, StreamMismatchError
-from smoothlab.experiments import ExperimentConfig, run_experiment
+from smoothlab.experiments import run_experiment
+from smoothlab.kinds import ExperimentConfig
 from smoothlab.numkit import norm
 from smoothlab.perturb import SeedSpec, block_streams
 

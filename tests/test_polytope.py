@@ -16,7 +16,8 @@ from smoothlab.errors import (
     SizeLimitError,
     UnboundedShadowError,
 )
-from smoothlab.experiments import ExperimentConfig, point_centers
+from smoothlab.experiments import point_centers
+from smoothlab.kinds import ExperimentConfig
 from smoothlab.polytope import (
     BASIS_CHUNK,
     FEAS_TOL,
