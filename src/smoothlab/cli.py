@@ -13,7 +13,8 @@ import os
 import sys
 
 from .errors import ConfigError, OutOfRegimeError, SizeLimitError, SmoothlabError
-from .kinds import BUILTIN_CENTERS, KINDS, MEASURES, RULES, ExperimentConfig, verify_replay
+from .kinds import (BUILTIN_CENTERS, KINDS, MEASURES, RULES, ExperimentConfig, validate_config,
+                    verify_replay)
 from .reports import load_json_report, read_text_file, write_report
 
 KIND_BY_COMMAND = {kind.command: name for name, kind in KINDS.items()}
@@ -136,6 +137,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"output directory does not exist: {out_dir}")
     if os.path.isdir(args.output_path):
         raise ConfigError(f"--out is a directory: {args.output_path}")
+    if args.jobs < 1:   # refused here too, before run_experiment loads numpy
+        raise ConfigError("jobs must be at least 1")
+    validate_config(cfg)
     return cfg
 
 

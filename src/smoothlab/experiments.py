@@ -1,7 +1,7 @@
-"""Monte Carlo experiment harness: run_experiment runs a kind of kinds.KINDS
-from its row of RUNS, with one seed stream per trial (so parallel and serial
-runs agree bit for bit) and block workers, which import the kernels they run,
-turning contiguous stream ranges into per-trial records for aggregate_rows.
+"""Monte Carlo experiment harness: run_experiment runs the trial groups of
+kinds.trial_groups with its kind's row of RUNS and one seed stream per trial
+(so parallel and serial runs agree bit for bit); block workers, which import
+the kernels they run, turn contiguous stream ranges into per-trial records.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import bounds
-from .errors import ConfigError, InvalidInputError, SizeLimitError, UnboundedShadowError
+from .errors import ConfigError, InvalidInputError, UnboundedShadowError
 from .kinds import (BUILTIN_CENTERS, KINDS, MATRIX_CENTERS, PROFILE_CENTERS, ExperimentConfig,
-                    aggregate_rows, validate_config)
+                    aggregate_rows, trial_groups, validate_config)
 from .numkit import inverse_norm, norm, parse_table
 from .perturb import block_streams
 from .reports import SCHEMA_VERSION, Report, read_text_file
 
-SUBMATRIX_BUDGET = 100_000
 PROFILE_ITERATION_CAP = 100_000
 
 
@@ -31,8 +30,6 @@ def center_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """d x d center for matrix-tail experiments: zero, ones or a center file."""
     if cfg.center_source in MATRIX_CENTERS:
         return (np.zeros if cfg.center_source == "zero" else np.ones)((cfg.d, cfg.d))
-    if cfg.center_source in BUILTIN_CENTERS:
-        raise ConfigError(f"tail-matrix takes --center zero, ones or a FILE, not {cfg.center_source}")
     return read_center_file(cfg, cfg.d)
 
 
@@ -77,6 +74,16 @@ def point_centers(cfg: ExperimentConfig) -> np.ndarray:
             rows[i, k] = sign * scale
         return rows
     return read_center_file(cfg, n)
+
+
+def profile_center_set(cfg: ExperimentConfig) -> list:
+    """Centers probed by the smoothed-complexity estimator. The true worst case
+    maximizes over all inputs; here the maximum is over this finite configured
+    set (at sigma = 0, the deterministic worst case over it), and reports label
+    it accordingly."""
+    if cfg.center_source not in BUILTIN_CENTERS:
+        return [("file", read_center_file(cfg, None))]
+    return [(src, point_centers(replace(cfg, center_source=src))) for src in PROFILE_CENTERS]
 
 
 # ---------------------------------------------------------------------------
@@ -269,81 +276,15 @@ def _map_blocks(worker, blocks, jobs: int) -> list:
         return list(pool.map(worker, blocks))
 
 
-# ---------------------------------------------------------------------------
-# pre-flight: regime and size gates, then the trial groups and report notes.
-# A group is (per-trial entry header, block payload, trial count); group g
-# owns the streams after those of groups 0 .. g-1.
-
-def _sigma_groups(cfg: ExperimentConfig, payload) -> list:
-    return [({"sigma": sigma}, payload, cfg.trials) for sigma in cfg.sigma_grid]
-
-
-def _prepare_points(cfg: ExperimentConfig):
-    """The kinds that perturb n point centers: one group per sigma, after its regime gate."""
-    for sigma in cfg.sigma_grid:
-        KINDS[cfg.kind].gate(cfg.n, cfg.d, sigma)
-    centers = point_centers(cfg)
-    notes = [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
-             for m in bounds.regime_notes(norm(centers, axis=1), cfg.d, sigma)]
-    return _sigma_groups(cfg, centers), notes
-
-
-def _prepare_matrix_tail(cfg: ExperimentConfig):
-    groups = _sigma_groups(cfg, center_matrix(cfg))
-    if all(bounds.edelman_applies(cfg.center_source == "zero", s) for s in cfg.sigma_grid):
-        return groups, []
-    return groups, ["bound_edelman applies only to zero center with sigma = 1"]
-
-
-def _prepare_rademacher(cfg: ExperimentConfig):
-    trials = cfg.trials
-    if cfg.exhaustive:
-        if cfg.d * cfg.d > 20:
-            raise SizeLimitError("exhaustive enumeration limited to d*d <= 20")
-        trials = 2 ** (cfg.d * cfg.d)
-    return [({}, None, trials)], ["Conjecture-2 bound is conjectural; measured, never asserted"]
-
-
-def _prepare_submatrix(cfg: ExperimentConfig):
-    if math.comb(cfg.n, cfg.d) > SUBMATRIX_BUDGET:
-        raise SizeLimitError(
-            f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
-    groups, notes = _prepare_points(cfg)
-    return groups, ["the stated inequality direction is evaluated literally; "
-                    "both sides reported"] + notes
-
-
-def profile_center_set(cfg: ExperimentConfig) -> list:
-    """Centers probed by the smoothed-complexity estimator.
-
-    The true worst case maximizes over all inputs; here the maximum is over
-    this finite configured set, and reports label it accordingly.
-    """
-    if cfg.center_source not in BUILTIN_CENTERS:
-        return [("file", read_center_file(cfg, None))]
-    return [(src, point_centers(replace(cfg, center_source=src))) for src in PROFILE_CENTERS]
-
-
-def _prepare_profile(cfg: ExperimentConfig):
-    """Per-center trial means under relative perturbation, max over centers.
-
-    At sigma = 0 the estimate collapses to the deterministic worst case over
-    the center set; a single center gives the plain average-case estimate.
-    """
-    centers = profile_center_set(cfg)
-    groups = [({"sigma": sigma, "center_id": center_id}, data, cfg.trials)
-              for sigma in cfg.sigma_grid for center_id, data in centers]
-    return groups, ["smoothed estimate is a max over the tested centers only"]
-
-
-# kind: block worker, pre-flight (cfg -> (groups, notes)), trials per block
-RUNS = {"matrix_tail": (_block_matrix_tail, _prepare_matrix_tail, BLOCK_TRIALS),
-        "rademacher_tail": (_block_rademacher, _prepare_rademacher, BLOCK_TRIALS),
-        "shadow_size": (_block_shadow_size, _prepare_points, LOOP_BLOCK_TRIALS),
-        "simplex_pivots": (_block_simplex_pivots, _prepare_points, LOOP_BLOCK_TRIALS),
-        "perceptron_tail": (_block_perceptron_tail, _prepare_points, WOLFE_BLOCK_TRIALS),
-        "submatrix_lemma": (_block_submatrix, _prepare_submatrix, BLOCK_TRIALS),
-        "smoothed_profile": (_block_profile, _prepare_profile, LOOP_BLOCK_TRIALS)}
+# kind: block worker, payload (cfg -> its centers), trials per block
+RUNS = {"matrix_tail": (_block_matrix_tail, center_matrix, BLOCK_TRIALS),
+        "rademacher_tail": (_block_rademacher, lambda cfg: None, BLOCK_TRIALS),
+        "shadow_size": (_block_shadow_size, point_centers, LOOP_BLOCK_TRIALS),
+        "simplex_pivots": (_block_simplex_pivots, point_centers, LOOP_BLOCK_TRIALS),
+        "perceptron_tail": (_block_perceptron_tail, point_centers, WOLFE_BLOCK_TRIALS),
+        "submatrix_lemma": (_block_submatrix, point_centers, BLOCK_TRIALS),
+        "smoothed_profile": (_block_profile, lambda cfg: dict(profile_center_set(cfg)),
+                             LOOP_BLOCK_TRIALS)}
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
@@ -351,21 +292,24 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Report:
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
     validate_config(cfg)
-    worker, prepare, block_trials = RUNS[cfg.kind]
-    groups, notes = prepare(cfg)
+    kind = KINDS[cfg.kind]
+    worker, centers, block_trials = RUNS[cfg.kind]
+    groups, payload, notes = trial_groups(cfg), centers(cfg), kind.notes(cfg)
+    if centers is point_centers:   # warn where the centers leave the bounds' regime
+        notes += [f"sigma={sigma}: {m}" for sigma in cfg.sigma_grid
+                  for m in bounds.regime_notes(norm(payload, axis=1), cfg.d, sigma)]
     blocks, first = [], 0
-    for header, payload, trials in groups:
+    for header, trials in groups:
+        data = payload[header["center_id"]] if "center_id" in header else payload
         for start in range(0, trials, block_trials):
-            blocks.append((cfg, payload, header.get("sigma"), first + start,
+            blocks.append((cfg, data, header.get("sigma"), first + start,
                            min(block_trials, trials - start)))
         first += trials
     records = [r for block in _map_blocks(worker, blocks, jobs) for r in block]
     per_trial, first = [], 0
-    for header, _, trials in groups:
-        per_trial.append({**header, KINDS[cfg.kind].key: records[first:first + trials]})
+    for header, trials in groups:
+        per_trial.append({**header, kind.key: records[first:first + trials]})
         first += trials
     rows = aggregate_rows(cfg, per_trial)
     return Report(schema=f"{cfg.kind}.{SCHEMA_VERSION}", config=asdict(cfg),
                   columns=list(rows[0]), rows=rows, warnings=notes, per_trial=per_trial)
-
-

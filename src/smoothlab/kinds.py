@@ -1,5 +1,5 @@
-"""The experiment kinds as data: KINDS, ExperimentConfig, the aggregators and
-the replay. It loads no numpy, so neither do `verify-report` and `--help`."""
+"""The experiment kinds as data: KINDS, ExperimentConfig, every check and the trial
+groups of a run, the aggregators and the replay. It loads no numpy, nor do refusals."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import statistics
 from dataclasses import dataclass
 
 from . import bounds
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, SizeLimitError
 from .reports import SCHEMA_VERSION
 
 BUILTIN_CENTERS = ("zero", "ones", "box", "stretched")
@@ -18,6 +18,7 @@ MEASURES = ("simplex_pivots", "perceptron_iterations")
 RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 FIELD_TYPES = {"kind": str, "n": int, "d": int, "trials": int, "master_seed": int,
                "center_source": str, "exhaustive": bool, "rule": str, "measure": str}
+SUBMATRIX_BUDGET = 100_000   # d-subsets a submatrix-lemma trial may scan
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
     file_profile = cfg.kind == "smoothed_profile" and cfg.center_source not in BUILTIN_CENTERS
     if "n" in fields and not file_profile and cfg.n < 1:
         raise ConfigError("n must be at least 1")
+    kind = KINDS[cfg.kind]
+    src = cfg.center_source   # a center set takes every built-in center
+    if src in BUILTIN_CENTERS and src not in kind.centers and not kind.center_set:
+        raise ConfigError(f"{kind.command} takes --center {', '.join(kind.centers)} or a FILE, "
+                          f"not {src}")
+    if "exhaustive" in fields and cfg.exhaustive and cfg.d * cfg.d > 20:
+        raise SizeLimitError("exhaustive enumeration limited to d*d <= 20")
+    if cfg.kind == "submatrix_lemma" and math.comb(cfg.n, cfg.d) > SUBMATRIX_BUDGET:
+        raise SizeLimitError(f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
+    for sigma in cfg.sigma_grid:
+        kind.gate(cfg.n, cfg.d, sigma)
+
+
+def trial_groups(cfg: ExperimentConfig) -> list:
+    """(per-trial entry header, trial count) of each group of cfg's trials in stream
+    order, for a run and its replay: a sigma of the grid, times a center of a center
+    set; tail-rademacher has one group, of 2^(d*d) trials if exhaustive."""
+    kind = KINDS[cfg.kind]
+    if "sigma_grid" not in kind.fields:
+        return [({}, 2 ** (cfg.d * cfg.d) if cfg.exhaustive else cfg.trials)]
+    if not kind.center_set:
+        return [({"sigma": sigma}, cfg.trials) for sigma in cfg.sigma_grid]
+    ids = kind.centers if cfg.center_source in BUILTIN_CENTERS else ("file",)
+    return [({"sigma": sigma, "center_id": center_id}, cfg.trials)
+            for sigma in cfg.sigma_grid for center_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +280,13 @@ class Kind:   # a row of the experiment table; experiments.RUNS says how each ki
     centers: tuple = BUILTIN_CENTERS   # the built-in --center values, if it takes --center
     center_set: bool = False   # every built-in --center value runs all of centers at once
     gate: Callable = lambda n, d, sigma: None   # raises OutOfRegimeError outside the regime
+    notes: Callable = lambda cfg: []   # cfg -> the report's first warnings
+
+
+def _edelman_notes(cfg: ExperimentConfig) -> list:
+    if all(bounds.edelman_applies(cfg.center_source == "zero", s) for s in cfg.sigma_grid):
+        return []
+    return ["bound_edelman applies only to zero center with sigma = 1"]
 
 
 _SHARED_FIELDS = ("d", "trials", "master_seed")
@@ -262,9 +295,10 @@ _POINT_FIELDS = _SHARED_FIELDS + ("n", "sigma_grid", "center_source")
 KINDS = {
     "matrix_tail": Kind("tail-matrix",
                         _SHARED_FIELDS + ("sigma_grid", "thresholds", "center_source"),
-                        "values", aggregate_matrix_tail, MATRIX_CENTERS),
+                        "values", aggregate_matrix_tail, MATRIX_CENTERS, notes=_edelman_notes),
     "rademacher_tail": Kind("tail-rademacher", _SHARED_FIELDS + ("thresholds", "exhaustive"),
-                            "values", aggregate_rademacher_tail),
+                            "values", aggregate_rademacher_tail, notes=lambda cfg: [
+                                "Conjecture-2 bound is conjectural; measured, never asserted"]),
     "shadow_size": Kind("shadow-size", _POINT_FIELDS, "counts", aggregate_shadow_size,
                         gate=bounds.shadow_size_bound),
     "simplex_pivots": Kind("simplex-pivots", _POINT_FIELDS, "records",
@@ -273,9 +307,13 @@ KINDS = {
                             "records", aggregate_perceptron_tail,
                             gate=bounds.blum_dunagan_regime),
     "submatrix_lemma": Kind("submatrix-lemma", _POINT_FIELDS, "sums", aggregate_submatrix,
-                            gate=bounds.submatrix_regime),
+                            gate=bounds.submatrix_regime, notes=lambda cfg: [
+                                "the stated inequality direction is evaluated literally; "
+                                "both sides reported"]),
     "smoothed_profile": Kind("smoothed-profile", _POINT_FIELDS + ("measure",), "records",
-                             aggregate_profile, PROFILE_CENTERS, center_set=True),
+                             aggregate_profile, PROFILE_CENTERS, center_set=True,
+                             notes=lambda cfg: [
+                                 "smoothed estimate is a max over the tested centers only"]),
 }
 
 
@@ -286,25 +324,30 @@ def aggregate_rows(cfg: ExperimentConfig, per_trial: list) -> list:
 
 def replay_rows(report_dict: dict) -> list:
     """Recompute report rows from the per-trial records of a saved report, whose
-    config must pass a run's checks and whose schema, columns and trial counts
-    must be those of its kind; malformed fields raise InvalidInputError."""
+    config must pass a run's checks, and whose schema, columns and per-trial
+    group headers and sizes must be those of its kind; malformed fields raise
+    InvalidInputError, and a config a run refuses raises as the run does."""
     if report_dict.get("per_trial") is None:
         raise InvalidInputError("report has no per-trial records; rerun with --per-trial")
     try:
         cfg = ExperimentConfig(**report_dict["config"])
         validate_config(cfg)
-        rows = aggregate_rows(cfg, report_dict["per_trial"])
+        per_trial = report_dict["per_trial"]
+        rows = aggregate_rows(cfg, per_trial)
         schema, columns = f"{cfg.kind}.{SCHEMA_VERSION}", list(rows[0])
         if report_dict.get("schema") != schema:
             raise ValueError(f"schema is {report_dict.get('schema')!r}, not {schema!r}")
         if report_dict.get("columns") != columns:
             raise ValueError(f"columns are {report_dict.get('columns')!r}, not {columns!r}")
-        kind = KINDS[cfg.kind]
-        exhaustive = cfg.exhaustive and "exhaustive" in kind.fields
-        trials = 2 ** (cfg.d * cfg.d) if exhaustive else cfg.trials
-        for g, group in enumerate(report_dict["per_trial"]):
-            if len(group[kind.key]) != trials:
-                raise ValueError(f"per-trial group {g} holds {len(group[kind.key])} records, "
+        key, groups = KINDS[cfg.kind].key, trial_groups(cfg)
+        if len(per_trial) != len(groups):
+            raise ValueError(f"report holds {len(per_trial)} per-trial groups, not {len(groups)}")
+        for g, (group, (header, trials)) in enumerate(zip(per_trial, groups)):
+            labels = {k: v for k, v in group.items() if k != key}
+            if labels != header:
+                raise ValueError(f"per-trial group {g} is {labels}, not {header}")
+            if len(group[key]) != trials:
+                raise ValueError(f"per-trial group {g} holds {len(group[key])} records, "
                                  f"not {trials}")
         return rows
     except KeyError as exc:

@@ -13,7 +13,7 @@ import smoothlab
 import smoothlab.cli
 import smoothlab.reports
 from smoothlab.cli import KIND_BY_COMMAND, build_parser, cli_main
-from smoothlab.kinds import ExperimentConfig
+from smoothlab.kinds import ExperimentConfig, aggregate_rows
 
 CSV_HEADER = ("sigma,threshold,empirical,stderr,"
               "bound_edelman,bound_sst,bound_thm43,bound_conj1")
@@ -342,6 +342,8 @@ class TestConfigFile:
         def capture(cfg, jobs):
             seen.append(cfg)
             raise AssertionError("stop before the trials")
+        # the defaults give no threshold, which the config check refuses
+        monkeypatch.setattr(smoothlab.cli, "validate_config", lambda cfg: None)
         monkeypatch.setattr(smoothlab.cli, "run_experiment", capture)
         out = tmp_path / "r.csv"
         with pytest.raises(AssertionError, match="stop before the trials"):
@@ -435,8 +437,30 @@ NO_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
             "runpy.run_module('smoothlab.cli', run_name='__main__', alter_sys=True)")
 
 
+# runs refused for their flags or config, each with its exit code and one line
+REFUSED_WITHOUT_NUMPY = [
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--trials", "0"], 1,
+     "error: trials must be at least 1"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--jobs", "0"], 1, "error: jobs must be at least 1"),
+    (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--center", "box"], 1,
+     "error: tail-matrix takes --center zero, ones or a FILE, not box"),
+    (["shadow-size", "--n", "8", "--d", "2", "--sigma", "0.1", "--trials", "2"], 2,
+     "out of regime: bound requires d >= 3 and n > d"),
+    (["tail-perceptron", "--n", "6", "--d", "2", "--threshold", "2", "--sigma", "0.9"], 2,
+     "out of regime: bound requires sigma^2 < 1/(2d)"),
+    (["tail-rademacher", "--d", "5", "--threshold", "2", "--exhaustive"], 3,
+     "size limit: exhaustive enumeration limited to d*d <= 20"),
+    (["submatrix-lemma", "--n", "40", "--d", "5", "--sigma", "0.1"], 3,
+     "size limit: C(40,5) exceeds the submatrix budget 100000"),
+    # out of both the budget and the regime: the budget is checked first
+    (["submatrix-lemma", "--n", "40", "--d", "5", "--sigma", "0.9"], 3,
+     "size limit: C(40,5) exceeds the submatrix budget 100000"),
+]
+
+
 class TestWithoutNumpy:
-    """verify-report, --help and a refused command answer without numpy."""
+    """verify-report, --help and a command refused for its flags or config
+    answer without numpy."""
 
     def test_verify_report(self, tmp_path):
         out = tmp_path / "r.json"
@@ -455,6 +479,14 @@ class TestWithoutNumpy:
         done = _python(["-c", NO_NUMPY, "tail-matrix", "--d", "2", "--bogus"], tmp_path)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize("argv, code, message", REFUSED_WITHOUT_NUMPY,
+                             ids=[" ".join(argv[:1] + argv[-2:])
+                                  for argv, _, _ in REFUSED_WITHOUT_NUMPY])
+    def test_refused_run(self, tmp_path, argv, code, message):
+        done = _python(["-c", NO_NUMPY, *argv, "--out", "r.csv"], tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_a_run_needs_numpy(self, tmp_path):   # the stand-in does block numpy
         done = _python(["-c", NO_NUMPY, *REPLAYED["tail-matrix"], "--out", "r.csv"], tmp_path)
@@ -647,6 +679,8 @@ REPLAYED = {
                         "--trials", "5", "--center", "box"],
     "smoothed-profile": ["smoothed-profile", "--n", "6", "--d", "2", "--sigma", "0",
                          "--trials", "3"],
+    "tail-matrix-grid": ["tail-matrix", "--d", "2", "--sigma", "0.5", "1.0", "--threshold",
+                         "5", "--trials", "5"],
 }
 # (command, key path into its report, the value put there, the message of its replay)
 MALFORMED_REPORTS = [
@@ -678,6 +712,23 @@ MALFORMED_REPORTS = [
      "per-trial group 0 holds 2 records, not 16"),
     ("tail-rademacher", ("config", "exhaustive"), False,
      "per-trial group 0 holds 16 records, not 1"),
+]
+
+
+# (the run's argv, how its per-trial groups are regrouped, the message of its replay);
+# each report's rows are recomputed from the regrouped records, so only the
+# group headers and sizes can tell
+REGROUPED_REPORTS = [
+    (REPLAYED["tail-matrix-grid"], lambda groups: groups[:1],
+     "report holds 1 per-trial groups, not 2"),
+    (REPLAYED["tail-matrix-grid"], lambda groups: [groups[0], {**groups[1], "sigma": 0.7}],
+     "per-trial group 1 is {'sigma': 0.7}, not {'sigma': 1.0}"),
+    (REPLAYED["tail-matrix-grid"], lambda groups: groups + groups[1:],
+     "report holds 3 per-trial groups, not 2"),
+    (REPLAYED["smoothed-profile"], lambda groups: [{**groups[0], "center_id": "zero"},
+                                                   *groups[1:]],
+     "per-trial group 0 is {'center_id': 'zero', 'sigma': 0.0}, "
+     "not {'sigma': 0.0, 'center_id': 'box'}"),
 ]
 
 
@@ -764,6 +815,37 @@ class TestVerifyReport:
         assert run(["verify-report", str(out)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: malformed report: {message}\n")
+
+    @staticmethod
+    def replayed(tmp_path, capsys, argv, change):
+        """verify-report's exit code and output on argv's report, with the report
+        changed in place by change and its rows recomputed from its records."""
+        out = tmp_path / "r.json"
+        assert run([*argv, "--format", "json", "--per-trial", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        change(doc)
+        doc["rows"] = aggregate_rows(ExperimentConfig(**doc["config"]), doc["per_trial"])
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["verify-report", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, regroup, message", REGROUPED_REPORTS,
+                             ids=["dropped", "relabelled", "extra", "center_id"])
+    def test_regrouped_report_is_one_line_error(self, tmp_path, capsys, argv, regroup,
+                                                message):
+        def change(doc):
+            doc["per_trial"] = regroup(doc["per_trial"])
+        assert self.replayed(tmp_path, capsys, argv, change) == (
+            1, "", f"error: malformed report: {message}\n")
+
+    def test_out_of_regime_config_ends_as_its_run(self, tmp_path, capsys):
+        def change(doc):   # sigma 0.9 in the config and in the records' header
+            doc["config"]["sigma_grid"] = [0.9]
+            doc["per_trial"][0]["sigma"] = 0.9
+        assert self.replayed(tmp_path, capsys, REPLAYED["submatrix-lemma"], change) == (
+            2, "", "out of regime: submatrix lemma requires sigma^2 <= 1/(9 d log n)\n")
 
     def test_report_without_schema_is_one_line_error(self, tmp_path, capsys):
         out = self.make_report(tmp_path)
