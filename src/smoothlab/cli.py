@@ -7,7 +7,6 @@ parameters, 3 desk-scale size limit exceeded.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -213,8 +212,10 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     code = cli_main()
-    gc.freeze()   # the exit-time collection then walks none of the heap the OS reclaims
-    sys.exit(code)
+    # the report is written and any pool shut down: skip the interpreter's teardown
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -127,13 +127,12 @@ def _block_submatrix(args):
     from .polytope import basis_chunks
     cfg, centers, sigma, first, count = args
     tau = bounds.submatrix_bounds(cfg.n, cfg.d, sigma)[0]
-    chunks = list(basis_chunks(cfg.n, cfg.d))
     sums = []
     for rng in block_streams(cfg.master_seed, first, count):
         pts = centers + sigma * rng.standard_normal(centers.shape)
         # submatrices with columns a_i, i in I, for every d-subset I
         sums.append(sum(int(np.count_nonzero(inverse_norm(pts[idx].transpose(0, 2, 1)) >= tau))
-                        for idx in chunks))
+                        for idx in basis_chunks(cfg.n, cfg.d)))
     return sums
 
 

@@ -19,6 +19,7 @@ RULES = ("lowest_index", "most_violated")   # run_perceptron selection rules
 FIELD_TYPES = {"kind": str, "n": int, "d": int, "trials": int, "master_seed": int,
                "center_source": str, "exhaustive": bool, "rule": str, "measure": str}
 SUBMATRIX_BUDGET = 100_000   # d-subsets a submatrix-lemma trial may scan
+MAX_BASES = 1_000_000        # d-subsets an LP scan may solve (polytope.basis_chunks)
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise SizeLimitError("exhaustive enumeration limited to d*d <= 20")
     if cfg.kind == "submatrix_lemma" and math.comb(cfg.n, cfg.d) > SUBMATRIX_BUDGET:
         raise SizeLimitError(f"C({cfg.n},{cfg.d}) exceeds the submatrix budget {SUBMATRIX_BUDGET}")
+    # the LP kinds' basis scans; the n of a profile center file is checked at its scan
+    lp_scan = cfg.kind in ("shadow_size", "simplex_pivots", "smoothed_profile")
+    if lp_scan and cfg.measure == "simplex_pivots" and not file_profile:
+        check_bases(cfg.n, cfg.d)
     for sigma in cfg.sigma_grid:
         kind.gate(cfg.n, cfg.d, sigma)
+
+
+def check_bases(n: int, d: int) -> None:
+    """Refuse a scan of the C(n, d) d-subsets of n constraints past MAX_BASES."""
+    if math.comb(n, d) > MAX_BASES:
+        raise SizeLimitError(f"C({n},{d}) = {math.comb(n, d)} exceeds the budget {MAX_BASES}")
 
 
 def trial_groups(cfg: ExperimentConfig) -> list:

@@ -4,7 +4,8 @@ The polytope here is always the inequality form {x : x^T a_i <= b_i}. Vertex
 enumeration over all d-subsets of constraints is the correctness oracle for
 the pivoting code, so it stays exhaustive and exact at desk scale. feasible_bases scans
 the d-subsets in canonical order in batched chunks, feasibility before rank, and the
-tests cross-check that scan against a one-basis-at-a-time loop.
+tests cross-check that scan against a one-basis-at-a-time loop. Chunks slice one table
+per (n, d) and process. An LP keeps its vertices and rays for the oracle and the hull.
 
 Rays and feasibility come from one SVD of A: {w : Aw <= 0} is null(A) plus a
 pointed cone whose extreme rays are null vectors of (r-1)-row subsets in the
@@ -16,20 +17,17 @@ largest entry are independent if their least singular value is > 1e-12 x the lar
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import cached_property
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlaneError,
-    InvalidInputError,
-    SizeLimitError,
-    UnboundedShadowError,
-)
+from .errors import DegeneratePlaneError, InvalidInputError, UnboundedShadowError
+from .kinds import check_bases
 from .numkit import norm, parse_table
 
-MAX_BASES = 1_000_000
 FEAS_TOL = 1e-9          # absolute slack tolerance for feasibility/tightness
 COLLINEAR_TOL = 1e-9     # hull collinearity tolerance
 BASIS_CHUNK = 256        # bases per batched solve; bounds the work past an early exit
@@ -67,6 +65,14 @@ class LinearProgram:
     def d(self) -> int:
         return self.A.shape[1]
 
+    @cached_property   # kept in the instance: a frozen dataclass without slots
+    def vertices(self) -> list:
+        return enumerate_vertices(self)
+
+    @cached_property
+    def rays(self) -> np.ndarray:
+        return recession_directions(self.A)
+
 
 @dataclass(frozen=True)
 class PolytopeVertex:
@@ -94,13 +100,25 @@ def parse_lp(text: str) -> LinearProgram:
     return LinearProgram(rows[:, :-1], rows[:, -1], z[0])
 
 
+_SUBSETS = {}   # (n, d) -> (the chunks built so far, the combinations after them)
+_GROWING = threading.Lock()
+
+
 def basis_chunks(n: int, d: int):
-    """d-subsets of range(n) in combinations order, as (k, d) arrays, k <= BASIS_CHUNK."""
-    if math.comb(n, d) > MAX_BASES:
-        raise SizeLimitError(f"C({n},{d}) = {math.comb(n, d)} exceeds the budget {MAX_BASES}")
-    subsets = combinations(range(n), d)
-    while chunk := list(islice(subsets, BASIS_CHUNK)):
-        yield np.array(chunk, dtype=np.intp)
+    """d-subsets of range(n) in combinations order, as read-only (k, d) arrays, k <= BASIS_CHUNK:
+    slices of a per-process table of at most 8 d C(n, d) bytes that every scan of (n, d)
+    shares and grows a chunk at a time, so a scan that stops early builds only what it read."""
+    check_bases(n, d)
+    chunks, rest = _SUBSETS.setdefault((n, d), ([], combinations(range(n), d)))
+    total = math.comb(n, d)
+    for i, start in enumerate(range(0, total, BASIS_CHUNK)):
+        with _GROWING:
+            if i == len(chunks):
+                k = min(BASIS_CHUNK, total - start)
+                chunk = np.fromiter(chain.from_iterable(islice(rest, k)), np.intp, k * d)
+                chunk.flags.writeable = False   # and so is its reshaped view
+                chunks.append(chunk.reshape(k, d))
+        yield chunks[i]
 
 
 def _unit_peak_rows(A: np.ndarray) -> np.ndarray:
@@ -123,8 +141,8 @@ def feasible_bases(lp: LinearProgram):
     """Nonsingular feasible bases of lp, one (tight sets, points) pair per chunk.
 
     Per chunk: one batched solve, a mask keeping A x - b <= FEAS_TOL, and one batched
-    SVD rank test of the feasible bases only; solve treats each basis on its own. If
-    it raises, slogdet, which runs solve's own LU, first drops the bases it rejects.
+    SVD rank test of any feasible bases, and of no others; solve treats each basis on its
+    own. If it raises, slogdet, which runs solve's own LU, first drops the bases it rejects.
     """
     for idx in basis_chunks(lp.n, lp.d):
         try:
@@ -136,7 +154,8 @@ def feasible_bases(lp: LinearProgram):
         # stacked matvec: the same rounding as lp.A @ x on each point
         with np.errstate(over="ignore", invalid="ignore"):   # near-singular bases: huge x
             keep = np.all((lp.A @ x[..., None])[..., 0] - lp.b <= FEAS_TOL, axis=1)
-        keep[keep] = independent_rows(lp.A[idx[keep]])
+        if keep.any():
+            keep[keep] = independent_rows(lp.A[idx[keep]])
         yield idx[keep], x[keep]
 
 
@@ -176,9 +195,8 @@ def recession_directions(A: np.ndarray) -> np.ndarray:
     return dirs[np.all(A @ dirs.T <= FEAS_TOL, axis=0)]
 
 
-def improving_ray(A: np.ndarray, z: np.ndarray) -> np.ndarray | None:
-    """The recession direction with the largest z.r, if z.r > 1e-9; else None."""
-    dirs = recession_directions(A)
+def improving_ray(dirs: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """The ray of recession_directions dirs with the largest z.r, if z.r > 1e-9; else None."""
     gains = dirs @ z
     if len(dirs) and gains.max() > 1e-9:
         return dirs[int(np.argmax(gains))]
@@ -213,10 +231,10 @@ def brute_force_optimum(lp: LinearProgram) -> OptimumResult:
     .vertex (for optimal) and .ray (for unbounded). A feasible polytope with
     no vertex and no improving ray raises InvalidInputError.
     """
-    verts = enumerate_vertices(lp)
+    verts = lp.vertices
     if not (verts or is_feasible(lp)):
         return OptimumResult("infeasible")
-    ray = improving_ray(lp.A, lp.z)
+    ray = improving_ray(lp.rays, lp.z)
     if ray is not None:
         return OptimumResult("unbounded", ray=ray)
     if not verts:
@@ -284,10 +302,10 @@ def shadow_polygon(lp: LinearProgram, plane_t) -> ShadowPolygon:
     any direction visible to the plane (or has no vertices at all).
     """
     q = plane_basis(plane_t, lp.z)
-    dirs = recession_directions(lp.A)
+    dirs = lp.rays
     if len(dirs) and np.max(np.linalg.norm(dirs @ q, axis=1)) > 1e-9:
         raise UnboundedShadowError("polytope is unbounded in the plane directions")
-    verts = enumerate_vertices(lp)
+    verts = lp.vertices
     if not verts:
         raise UnboundedShadowError("polytope has no vertices to project")
     proj = np.array([v.point @ q for v in verts])

@@ -12,9 +12,9 @@ Phase I is deliberately not the randomized construction the theory analyzes:
 it is a brute-force scan for the first feasible basis in canonical order,
 with t = sum of that basis's constraint normals (which certifies optimality
 of the start vertex for t), scanned in batched chunks by polytope.feasible_bases:
-solve, feasibility mask, then rank test on the feasible bases. The pivot walk does
-not use that scan, so it stays independent of the oracle. Reported step counts are
-Phase II pivots only. Every outcome, Phase I failures included, is one PivotTrace.
+solve, feasibility mask, then rank test on the feasible bases. The walk uses neither that
+scan nor an LP's kept vertices and rays: it stays independent of the oracle. Counted steps
+are Phase II pivots only. Every outcome, Phase I failures included, is one PivotTrace.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .polytope import (
     improving_ray,
     independent_rows,
     is_feasible,
+    recession_directions,
 )
 
 PIVOT_TIE_TOL = 1e-9
@@ -170,6 +171,6 @@ def solve(lp: LinearProgram) -> PivotTrace:
     if not is_feasible(lp):
         return PivotTrace(visited=[], pivot_count=0, status="infeasible")
     # feasible but no basic solution: still detect an improving ray
-    ray = improving_ray(lp.A, lp.z)
+    ray = improving_ray(recession_directions(lp.A), lp.z)
     return PivotTrace(visited=[], pivot_count=0,
                       status="phase1_failed" if ray is None else "unbounded", ray=ray)

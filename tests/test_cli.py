@@ -32,13 +32,13 @@ def no_trials(monkeypatch):
     monkeypatch.setattr(smoothlab.cli, "run_experiment", fail)
 
 
-def _python(args, cwd):
+def _python(args, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """python args in a fresh interpreter, with this smoothlab."""
     src = os.path.dirname(os.path.dirname(smoothlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=stderr, text=True, timeout=120)
 
 
 def run_process(argv, cwd):
@@ -437,6 +437,8 @@ NO_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
             "runpy.run_module('smoothlab.cli', run_name='__main__', alter_sys=True)")
 
 
+BASES_REFUSED = "size limit: C(60,20) = 4191844505805495 exceeds the budget 1000000"
+
 # runs refused for their flags or config, each with its exit code and one line
 REFUSED_WITHOUT_NUMPY = [
     (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--trials", "0"], 1,
@@ -455,6 +457,13 @@ REFUSED_WITHOUT_NUMPY = [
     # out of both the budget and the regime: the budget is checked first
     (["submatrix-lemma", "--n", "40", "--d", "5", "--sigma", "0.9"], 3,
      "size limit: C(40,5) exceeds the submatrix budget 100000"),
+    # the LP kinds' basis budget, before any pool starts
+    (["simplex-pivots", "--n", "60", "--d", "20", "--sigma", "0.1", "--trials", "40",
+      "--jobs", "2", "--center", "box"], 3, BASES_REFUSED),
+    (["shadow-size", "--n", "60", "--d", "20", "--sigma", "0.1", "--center", "box"], 3,
+     BASES_REFUSED),
+    (["smoothed-profile", "--n", "60", "--d", "20", "--sigma", "0.1", "--center", "ones"], 3,
+     BASES_REFUSED),
 ]
 
 
@@ -511,6 +520,47 @@ def test_a_run_loads_only_its_kernels(tmp_path, argv, kernels):
             "if 'smoothlab.' + m in sys.modules])")
     done = _python(["-c", code], tmp_path)
     assert (done.stdout, done.stderr) == (f"0 {kernels}\n", "")
+
+
+class TestProcessExit:
+    """python -m smoothlab.cli ends without the interpreter's teardown, after flushing
+    what it printed, whether its output goes to pipes or to files."""
+
+    @pytest.fixture(autouse=True)
+    def buffered(self, monkeypatch):   # stdout then reaches a pipe or file only if flushed
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+    @staticmethod
+    def run_to(tmp_path, argv, dest):
+        if dest == "pipe":
+            done = run_process(argv, tmp_path)
+            return done.returncode, done.stdout, done.stderr
+        with open(tmp_path / "out.txt", "w") as out, open(tmp_path / "err.txt", "w") as err:
+            done = _python(["-m", "smoothlab.cli", *argv], tmp_path, stdout=out, stderr=err)
+        return (done.returncode, (tmp_path / "out.txt").read_text(),
+                (tmp_path / "err.txt").read_text())
+
+    @pytest.mark.parametrize("dest", ["pipe", "file"])
+    def test_verify_report(self, tmp_path, dest):
+        out = tmp_path / "r.json"
+        assert run([*REPLAYED["tail-matrix"], "--format", "json", "--per-trial",
+                    "--out", str(out)]) == 0
+        assert self.run_to(tmp_path, ["verify-report", str(out)], dest) == \
+            (0, "replay ok\n", "")
+
+    @pytest.mark.parametrize("dest", ["pipe", "file"])
+    @pytest.mark.parametrize("argv, code, message", [
+        (TAIL_MATRIX_FLAGS + ["--sigma", "1", "--trials", "0"], 1,
+         "error: trials must be at least 1"),
+        (["shadow-size", "--n", "8", "--d", "2", "--sigma", "0.1", "--trials", "2"], 2,
+         "out of regime: bound requires d >= 3 and n > d"),
+        (["simplex-pivots", "--n", "60", "--d", "20", "--sigma", "0.1", "--center", "box"], 3,
+         BASES_REFUSED),
+    ], ids=["exit-1", "exit-2", "exit-3"])
+    def test_refusal(self, tmp_path, dest, argv, code, message):
+        assert self.run_to(tmp_path, argv + ["--out", "r.csv"], dest) == \
+            (code, "", message + "\n")
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestModuleEntryPoint:

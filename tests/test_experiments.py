@@ -5,11 +5,12 @@ import json
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from smoothlab import experiments, simplex
+from smoothlab import experiments, polytope, simplex
 from smoothlab.cli import cli_main
 from smoothlab.errors import ConfigError, OutOfRegimeError, SizeLimitError
 from smoothlab.experiments import (
@@ -27,7 +28,7 @@ from smoothlab.experiments import (
     profile_center_set,
     run_experiment,
 )
-from smoothlab.kinds import KINDS, MEASURES, ExperimentConfig, verify_replay
+from smoothlab.kinds import KINDS, MEASURES, ExperimentConfig, validate_config, verify_replay
 from smoothlab.numkit import inverse_norm
 from smoothlab.bounds import iteration_bound
 from smoothlab.perceptron import PerceptronInstance, run_perceptron, wiggle_rooms
@@ -184,6 +185,17 @@ class TestSimplexPivots:
         cfg = ExperimentConfig(kind="simplex_pivots", n=8, d=3, sigma_grid=(sigma,), trials=1,
                                center_source="box")
         return experiments._block_simplex_pivots((cfg, point_centers(cfg), sigma, 0, 1))[0]
+
+    def test_trial_enumerates_its_polytope_once(self):
+        # the oracle and the shadow hull share one enumeration of vertices and of rays
+        enumerate_vertices = mock.Mock(wraps=polytope.enumerate_vertices)
+        recession_directions = mock.Mock(wraps=polytope.recession_directions)
+        with mock.patch.object(polytope, "enumerate_vertices", enumerate_vertices), \
+                mock.patch.object(polytope, "recession_directions", recession_directions), \
+                mock.patch.object(simplex, "recession_directions", recession_directions):
+            rec = self.box_trial(0.1)
+        assert rec["status"] == "optimal" and rec["agree"] and rec["within_hull"]
+        assert (enumerate_vertices.call_count, recession_directions.call_count) == (1, 1)
 
     def test_trial_silences_coincident_vertices(self):
         # rows 6 and 7 repeat rows 0 and 1, so distinct bases share vertices
@@ -647,6 +659,22 @@ class TestPoolSize:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("kind", ["shadow_size", "simplex_pivots", "smoothed_profile"])
+    def test_lp_kinds_refuse_past_the_basis_budget(self, kind):
+        # before the regime gate, which sigma 0.1 fails at this size
+        cfg = ExperimentConfig(kind=kind, n=60, d=20, sigma_grid=(0.1,), center_source="box")
+        with pytest.raises(SizeLimitError,
+                           match=r"C\(60,20\) = 4191844505805495 exceeds the budget 1000000"):
+            validate_config(cfg)
+
+    def test_basis_budget_only_where_a_scan_runs(self, tmp_path):
+        validate_config(ExperimentConfig(kind="smoothed_profile", n=60, d=20, sigma_grid=(0.1,),
+                                         measure="perceptron_iterations"))
+        center = tmp_path / "c.inst"   # the scan checks the n the file sets
+        center.write_text("3 2\n1 0\n0 1\n1 1\n")
+        validate_config(ExperimentConfig(kind="smoothed_profile", n=60, d=20, sigma_grid=(0.1,),
+                                         center_source=str(center)))
+
     @pytest.mark.parametrize("measure", ["simplex_pivots", "perceptron_iterations"])
     def test_profile_needs_n_for_builtin_centers(self, measure):
         cfg = ExperimentConfig(kind="smoothed_profile", n=-3, d=2, sigma_grid=(0.1,),

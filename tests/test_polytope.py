@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smoothlab import polytope
 from smoothlab.bounds import shadow_size_bound
 from smoothlab.errors import (
     DegeneratePlaneError,
@@ -112,6 +113,69 @@ class TestEnumeration:
         dirs = recession_directions(np.array([[1.0, 0.0]]))
         assert len(dirs) > 0
         assert np.all(dirs @ np.array([1.0, 0.0]) <= 1e-9)
+
+    def test_vertices_and_rays_are_kept(self):
+        lp = LinearProgram(BOX2.A, BOX2.b, BOX2.z)
+        assert lp.vertices is lp.vertices and lp.rays is lp.rays
+        assert [v.tight_set for v in lp.vertices] == \
+            [v.tight_set for v in enumerate_vertices(lp)]
+        assert np.array_equal(lp.rays, recession_directions(lp.A))
+
+
+def chunked_combinations(n, k):
+    """Reference chunks: combinations(range(n), k) cut into BASIS_CHUNK-row arrays."""
+    subsets = combinations(range(n), k)
+    return [np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            for chunk in iter(lambda: list(islice(subsets, BASIS_CHUNK)), [])]
+
+
+def assert_same_chunks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.intp and g.shape == w.shape and np.array_equal(g, w)
+
+
+class TestBasisChunks:
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_k_matches_combinations(self, n):
+        for k in range(n + 2):
+            assert_same_chunks(list(basis_chunks(n, k)), chunked_combinations(n, k))
+
+    @pytest.mark.parametrize("n, k", [(20, 4), (10, 2)])
+    def test_matches_combinations(self, n, k):
+        assert_same_chunks(list(basis_chunks(n, k)), chunked_combinations(n, k))
+
+    def test_chunks_are_read_only(self):
+        for chunk in basis_chunks(20, 4):
+            assert not chunk.flags.writeable
+            with pytest.raises(ValueError):
+                chunk[0, 0] = 1
+
+    def test_interleaved_scans_share_the_table(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_SUBSETS", {})
+        want = chunked_combinations(17, 3)   # 680 subsets: 3 chunks
+        first, second = basis_chunks(17, 3), basis_chunks(17, 3)
+        got = {id(first): [], id(second): []}
+        for scan in (first, second, second, first, second, first):
+            got[id(scan)].append(next(scan))
+        for scan in (first, second):
+            assert next(scan, None) is None
+            assert_same_chunks(got[id(scan)], want)
+
+    def test_rescan_after_an_early_stop(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_SUBSETS", {})
+        scan = basis_chunks(17, 3)
+        assert_same_chunks([next(scan)], chunked_combinations(17, 3)[:1])
+        scan.close()
+        assert len(polytope._SUBSETS[17, 3][0]) == 1   # built only what was read
+        assert_same_chunks(list(basis_chunks(17, 3)), chunked_combinations(17, 3))
+        assert_same_chunks(list(basis_chunks(17, 3)), chunked_combinations(17, 3))
+
+    def test_budget_before_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_SUBSETS", {})
+        with pytest.raises(SizeLimitError, match="exceeds the budget 1000000"):
+            next(basis_chunks(60, 20))
+        assert polytope._SUBSETS == {}
 
 
 # --------------------------------------------------------------------------
@@ -463,7 +527,7 @@ def assert_matches_truncated_scans(lp, rng):
     assert np.all(lp.A @ rays.T <= 1e-9)
     q = plane_basis(rng.standard_normal(lp.d), rng.standard_normal(lp.d))
     assert decisions(rays, lp, q) == decisions(truncated_cone_rays(lp.A), lp, q)
-    assert (improving_ray(lp.A, lp.z) is not None) == decisions(rays, lp, q)[1]
+    assert (improving_ray(rays, lp.z) is not None) == decisions(rays, lp, q)[1]
     assert is_feasible(lp) == homogenized_feasible(lp)
 
 
@@ -480,10 +544,10 @@ class TestRaysMatchTruncatedScans:
 
     def test_improving_ray(self):
         # x_0 <= 1 leaves the rays -e_0 and +-e_1
-        a = np.array([[1.0, 0.0]])
-        assert np.array_equal(improving_ray(a, np.array([-1.0, 0.5])), [-1.0, 0.0])
-        assert improving_ray(a, np.array([1.0, 0.0])) is None
-        assert improving_ray(CUBE3, np.ones(3)) is None
+        rays = recession_directions(np.array([[1.0, 0.0]]))
+        assert np.array_equal(improving_ray(rays, np.array([-1.0, 0.5])), [-1.0, 0.0])
+        assert improving_ray(rays, np.array([1.0, 0.0])) is None
+        assert improving_ray(recession_directions(CUBE3), np.ones(3)) is None
 
     def test_no_size_limit_past_the_polytope_scan(self):
         # the truncated cone of this 36 x 5 box has C(46, 5) > MAX_BASES bases

@@ -122,6 +122,20 @@ class TestSolve:
                            np.array([1.0, 1.0]))
         assert solve(lp).status == "unbounded"
 
+    @pytest.mark.parametrize("rows, b, z, status", [
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0] * 4, [1.0, 1.0], "optimal"),
+        ([[-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0], [1.0, 1.0], "unbounded"),
+        ([[1.0, 0.0]], [1.0], [0.0, 1.0], "unbounded"),
+        ([[1.0], [-1.0]], [-1.0, -2.0], [1.0], "infeasible"),
+        ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0], [1.0, 0.0], "phase1_failed"),
+    ], ids=["optimal", "unbounded-walk", "unbounded-without-vertices", "infeasible",
+         "no-vertex-no-ray"])
+    def test_reads_none_of_the_oracle_cache(self, rows, b, z, status):
+        # the walk computes its own scans, never the vertices or rays the oracle keeps
+        lp = LinearProgram(np.array(rows), np.array(b), np.array(z))
+        assert solve(lp).status == status
+        assert "vertices" not in lp.__dict__ and "rays" not in lp.__dict__
+
     def test_matches_oracle_on_random_lps(self):
         rng = np.random.default_rng(21)
         for _ in range(60):
